@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
              for e, urls in json.load(open(args.inject)).items()}
             if args.inject else None
         ),
-        follow=args.follow or args.follow_seeds_file is not None,
+        follow=args.follow,
         follow_seeds_file=args.follow_seeds_file,
         follow_idle_seconds=(
             args.follow_idle_seconds

@@ -226,6 +226,15 @@ def host_of(canonical_url: str) -> str:
     return urlsplit(canonical_url).hostname or ""
 
 
+def netlocs(urls):
+    """Netloc (port kept) of each URL in an Arrow string array, vectorized:
+    per row ``url.split("://", 1)[1].split("/", 1)[0]``, which is also
+    DuckDB's ``split_part(split_part(url, '://', 2), '/', 1)``."""
+    import pyarrow.compute as pc
+
+    return pc.struct_field(pc.extract_regex(urls, "://(?P<n>[^/]*)"), [0])
+
+
 def host_shard_key(host: str) -> int:
     """The 4-byte host hash that ``shard_of_host`` mods. Stored per seen
     digest in checkpoints (u32) so a reshard can recompute the owning

@@ -65,6 +65,11 @@ from .frontier.phash_shard import PhashDedupShard, owner_shards
 from .stages.fetch import fetch_batch, decode_batch
 from .io import lancelike
 
+# Per-epoch (url_hash, host) sidecar trees beside the payload, in the
+# order of their lists in a shard's gate result (``finals[s][1:5]``).
+SIDECARS = ("suppressed", "errors", "redirects", "not_modified")
+
+
 @dataclass
 class CrawlConfig:
     web: WebConfig = field(default_factory=WebConfig)
@@ -201,6 +206,11 @@ class CrawlConfig:
     # --epoch-seconds for real deployments (--follow-idle-seconds to
     # override).
     follow_idle_seconds: float = 0.0
+
+    def __post_init__(self):
+        # a watch file is only polled while the loop stays alive
+        if self.follow_seeds_file:
+            self.follow = True
 
 
 @dataclass
@@ -356,8 +366,7 @@ def run_crawl(
                 for d in os.listdir(payload_dir):
                     if d.startswith("epoch=") and int(d.split("=")[1]) >= start_epoch:
                         shutil.rmtree(os.path.join(payload_dir, d))
-            for side in ("suppressed", "errors", "redirects",
-                         "not_modified", "links"):
+            for side in (*SIDECARS, "links"):
                 sd = os.path.join(cfg.out_dir, side)
                 if os.path.isdir(sd):
                     for f in os.listdir(sd):
@@ -415,14 +424,8 @@ def run_crawl(
     stats = CrawlStats(out_dir=cfg.out_dir)
     num_shards = cfg.num_shards
     keep_bytes = cfg.keep_bytes_in_payload
-    suppressed_dir = os.path.join(cfg.out_dir, "suppressed")
-    os.makedirs(suppressed_dir, exist_ok=True)
-    errors_dir = os.path.join(cfg.out_dir, "errors")
-    os.makedirs(errors_dir, exist_ok=True)  # dead-letter sidecars
-    redirects_dir = os.path.join(cfg.out_dir, "redirects")
-    os.makedirs(redirects_dir, exist_ok=True)  # 301-pop sidecars
-    not_modified_dir = os.path.join(cfg.out_dir, "not_modified")
-    os.makedirs(not_modified_dir, exist_ok=True)  # 304-pop sidecars
+    for side in SIDECARS:
+        os.makedirs(os.path.join(cfg.out_dir, side), exist_ok=True)
     links_dir = os.path.join(cfg.out_dir, "links")
     if cfg.link_log:
         os.makedirs(links_dir, exist_ok=True)  # crawled-web edge log
@@ -450,6 +453,7 @@ def run_crawl(
     if resume and cfg.follow_seeds_file and os.path.exists(follow_off_path):
         with open(follow_off_path) as f:
             follow_off = int(json.load(f)["offset"])
+    persisted_off = follow_off
     while epoch < cfg.max_epochs:
         if should_stop is not None and should_stop():
             break  # graceful stop: fall through to the final checkpoint
@@ -483,11 +487,12 @@ def run_crawl(
                 )
                 for sh, rows in _seed_tables(cfg, inj_list).items()
             ])
-            if cfg.follow_seeds_file:
-                tmpf = follow_off_path + ".tmp"
-                with open(tmpf, "w") as f:
-                    json.dump({"offset": follow_off}, f)
-                os.replace(tmpf, follow_off_path)
+        if follow_off != persisted_off:
+            tmpf = follow_off_path + ".tmp"
+            with open(tmpf, "w") as f:
+                json.dump({"offset": follow_off}, f)
+            os.replace(tmpf, follow_off_path)
+            persisted_off = follow_off
         t = _time.perf_counter()
         counts = ray.get([a.pop.remote(epoch) for a in actors])
         t = _mark("pop", t)
@@ -673,44 +678,18 @@ def run_crawl(
                                                     epoch + 1)
                 )
         # sidecars carry (url_hash, host): host attribution is what lets
-        # checkpoint MERGE rebuild exact per-host quota spend (every pop
-        # lands in exactly one of payload/suppressed/errors, so the three
-        # trees deduped by digest ARE the popped set — merge.py)
-        suppressed = [dh for _, sup, _, _, _, _ in finals for dh in sup]
-        pq.write_table(
-            pa.table({
-                "url_hash": pa.array([d for d, _ in suppressed], pa.binary()),
-                "host": pa.array([h for _, h in suppressed], pa.string()),
-            }),
-            os.path.join(suppressed_dir, f"epoch={epoch}.parquet"),
-        )
-        errors = [dh for _, _, errs, _, _, _ in finals for dh in errs]
-        pq.write_table(
-            pa.table({
-                "url_hash": pa.array([d for d, _ in errors], pa.binary()),
-                "host": pa.array([h for _, h in errors], pa.string()),
-            }),
-            os.path.join(errors_dir, f"epoch={epoch}.parquet"),
-        )
-        # 301 pops land in neither payload nor suppressed/errors — their
-        # own sidecar keeps the merge-tool invariant that the digest-union
-        # of the sidecar trees IS the popped set (exact quota rebuild)
-        redirs = [dh for _, _, _, rds, _, _ in finals for dh in rds]
-        pq.write_table(
-            pa.table({
-                "url_hash": pa.array([d for d, _ in redirs], pa.binary()),
-                "host": pa.array([h for _, h in redirs], pa.string()),
-            }),
-            os.path.join(redirects_dir, f"epoch={epoch}.parquet"),
-        )
-        notmods = [dh for _, _, _, _, nms, _ in finals for dh in nms]
-        pq.write_table(
-            pa.table({
-                "url_hash": pa.array([d for d, _ in notmods], pa.binary()),
-                "host": pa.array([h for _, h in notmods], pa.string()),
-            }),
-            os.path.join(not_modified_dir, f"epoch={epoch}.parquet"),
-        )
+        # checkpoint MERGE rebuild exact per-host quota spend (the
+        # digest-union of payload and sidecar trees IS the popped set —
+        # merge.py)
+        for i, side in enumerate(SIDECARS, start=1):
+            rows = [dh for fin in finals for dh in fin[i]]
+            pq.write_table(
+                pa.table({
+                    "url_hash": pa.array([d for d, _ in rows], pa.binary()),
+                    "host": pa.array([h for _, h in rows], pa.string()),
+                }),
+                os.path.join(cfg.out_dir, side, f"epoch={epoch}.parquet"),
+            )
         if cfg.link_log:
             edges = pa.concat_tables(
                 ray.get([a.drain_link_log.remote(epoch) for a in actors])
@@ -1118,8 +1097,7 @@ def inspect_run(out_dir: str) -> dict:
             payload_by_epoch.get(ep, 0) + pq.read_metadata(f).num_rows
         )
     sidecars = {}
-    for side in ("suppressed", "errors", "redirects",
-                 "not_modified", "links"):
+    for side in (*SIDECARS, "links"):
         n = 0
         for f in _glob.glob(os.path.join(out_dir, side, "epoch=*.parquet")):
             n += pq.read_metadata(f).num_rows

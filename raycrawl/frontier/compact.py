@@ -16,10 +16,11 @@ shuffle moves one ~100-byte row per distinct URL.
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Min
 
-from ..core.urltools import shard_of_host
+from ..core.urltools import netlocs, shard_of_host
 
 
 def compact_frontier(
@@ -35,7 +36,8 @@ def compact_frontier(
     )
 
     def rekey(df: pd.DataFrame) -> pd.DataFrame:
-        hosts = df["url"].map(lambda u: u.split("://", 1)[1].split("/", 1)[0])
+        hosts = netlocs(pa.array(df["url"], pa.string())).to_pandas()
+        hosts.index = df.index
         df = df.assign(
             host=hosts,
             shard=hosts.map(lambda h: shard_of_host(h, num_shards)).astype("int32"),

@@ -36,7 +36,8 @@ import pyarrow.parquet as pq
 
 from ..core.politeness import HostPoliteness, RobotsCache
 from ..core.sketches import SeenSet, PhashIndex
-from ..core.urltools import host_shard_key, shard_of_host, trap_reason
+from ..core.urltools import (host_shard_key, netlocs, shard_of_host,
+                             trap_reason)
 
 _SHARD_CACHE: dict[tuple, int] = {}
 
@@ -897,15 +898,16 @@ class FrontierShard:
         for host, files in self._spill_files.items():
             for path, _mk in files:
                 items.extend(_table_items(pq.read_table(path)))
+        urls = pa.array([i[4] for i in items], pa.string())
         pq.write_table(
             pa.table(
                 {
-                    "url": [i[4] for i in items],
+                    "url": urls,
                     "url_hash": [i[3] for i in items],
                     "priority": pa.array([-i[0] for i in items], pa.int32()),
                     "depth": pa.array([i[1] for i in items], pa.int32()),
                     "discovered_at": pa.array([i[2] for i in items], pa.int64()),
-                    "host": [self._host_of(i[4]) for i in items],
+                    "host": netlocs(urls),
                 }
             ),
             os.path.join(d, "frontier.parquet"),
@@ -982,10 +984,6 @@ class FrontierShard:
         with open(os.path.join(d, "manifest.json"), "w") as f:
             json.dump(manifest, f)
         return manifest
-
-    @staticmethod
-    def _host_of(url: str) -> str:
-        return url.split("://", 1)[1].split("/", 1)[0]
 
     @classmethod
     def restore(

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import stat
+import tempfile
+import warnings
 
 import pyarrow.parquet as pq
 import ray.data
@@ -18,63 +21,121 @@ from ..core.webgraph import WebConfig, seed_urls
 from .common import pool_size, table, table_spread
 from .queries import register
 
-_CRAWL_CACHE: dict[str, str] = {}
+_QUOTA_PER_HOST = 6
+_FOCUS_KEYWORDS = ("cedar", "quartz")
+
+# Crawl fixtures: the crawls the crawl-artifact queries read, name ->
+# (WebConfig overrides, CrawlConfig overrides). Every fixture crawls 16
+# hosts x max(8, n_docs // 16) pages over 4 shards with epoch_seconds=8
+# (fewer, denser epochs), burst=16 and max_epochs=60 unless its row says
+# otherwise. Two keys are not config fields: ``extra_pages`` grows every
+# host, and ``etag_manifest_dir`` names the fixture to crawl against.
+CRAWL_FIXTURES: dict[str, tuple[dict, dict]] = {
+    "main": ({}, {}),
+    # incremental recrawl: new pages appear, existing content unchanged
+    "recrawl": ({"extra_pages": 2}, {}),
+    "trap": ({"trap_links": True}, {"trap_filter": True}),
+    "quota": ({}, {"max_pages_per_host": _QUOTA_PER_HOST}),
+    "focus_plain": ({}, {"max_epochs": 40}),
+    "focus": ({}, {"focus_keywords": _FOCUS_KEYWORDS, "max_epochs": 40}),
+    "backoff": ({}, {"error_backoff": True}),
+    "redirect": ({"redirect_every": 3}, {}),
+    # generation 1 of main: volatile pages' content differs
+    "volatile": ({"content_epoch": 1}, {}),
+    "incr": ({"content_epoch": 1}, {"etag_manifest_dir": "main"}),
+    "links": ({}, {"link_log": True}),
+}
+
+# Per-uid base of the fixture trees. A plain string: importing this module
+# touches no file; a harness isolates its runs through TMPDIR.
+_FIXTURE_BASE = os.path.join(tempfile.gettempdir(),
+                             f"raycrawl-fixtures-{os.getuid()}")
+_FIXTURE_CACHE: dict[tuple[str, str], str] = {}
 
 
-def _publish_current(out: str, base: str, name: str = "current") -> None:
-    """Point ``<base>/current`` at the crawl artifacts the LAST registry
-    query in this process produced. This is what lets a crawl-artifact
-    query carry a STATIC SQL oracle: the correctness harness runs the Ray
-    pipeline and its SQL side-by-side per query, so when the SQL executes
-    the symlink names exactly the tree the pipeline just read. (Atomic
-    replace; per-query serial flow assumed — the harness's contract.)"""
-    os.makedirs(base, exist_ok=True)
-    tmp = os.path.join(base, f"{name}.tmp-{os.getpid()}")
-    link = os.path.join(base, name)
+def _cur(name: str) -> str:
+    """The ``current`` link of fixture ``name``. SQL oracles of
+    crawl-artifact queries read it: the harness runs the SQL right after
+    the Ray pipeline, so the link names the exact tree the pipeline read —
+    an independent DuckDB replay of the same parquet, not a re-derivation
+    of the crawl."""
+    return os.path.join(_FIXTURE_BASE, name, "current")
+
+
+def _fixture_home(name: str) -> str | None:
+    """``<base>/<name>``, created on demand; None when the base is not a
+    directory owned by this uid (another user's or a planted path)."""
+    try:
+        os.makedirs(_FIXTURE_BASE, mode=0o700, exist_ok=True)
+        st = os.lstat(_FIXTURE_BASE)
+        if not stat.S_ISDIR(st.st_mode) or st.st_uid != os.getuid():
+            raise PermissionError(_FIXTURE_BASE)
+        home = os.path.join(_FIXTURE_BASE, name)
+        os.makedirs(home, exist_ok=True)
+        return home
+    except OSError:
+        warnings.warn(
+            f"{_FIXTURE_BASE} is not a private directory: crawl fixtures run"
+            " in private temp dirs and their SQL oracles cannot find them",
+            RuntimeWarning,
+        )
+        return None
+
+
+def _new_out_dir(name: str, sf_dir: str) -> str:
+    home = _fixture_home(name)
+    if home is None:
+        return tempfile.mkdtemp(prefix=f"raycrawl-{name}-")
+    # stable digest (Python str hash is PYTHONHASHSEED-randomized) + pid so
+    # re-runs reuse the same dir and concurrent processes cannot collide
+    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
+    return os.path.join(home, f"{tag}-{os.getpid()}")
+
+
+def _publish(name: str, out: str) -> None:
+    """Point ``_cur(name)`` at ``out`` (atomic replace; per-query serial
+    flow assumed — the harness's contract). Best-effort: the pipeline
+    never reads the link."""
+    home = _fixture_home(name)
+    if home is None:
+        return
+    tmp = os.path.join(home, f"current.tmp-{os.getpid()}")
     try:
         if os.path.lexists(tmp):
             os.unlink(tmp)
         os.symlink(out, tmp)
-        os.replace(tmp, link)
+        os.replace(tmp, os.path.join(home, "current"))
     except OSError:
-        pass  # oracle convenience only — the pipeline never reads it
+        pass
 
 
-def _crawl_out_dir(sf_dir: str) -> str:
-    """Run (once per sf_dir per process) a crawl whose universe scales with
-    the sf, returning the payload/checkpoint directory."""
-    if sf_dir in _CRAWL_CACHE:
-        _publish_current(_CRAWL_CACHE[sf_dir], "/tmp/raycrawl_q")
-        return _CRAWL_CACHE[sf_dir]
-    from ..crawler import CrawlConfig, run_crawl
+def fixture_dir(name: str, sf_dir: str) -> str:
+    """Artifact dir of crawl fixture ``name`` at ``sf_dir``. The crawl runs
+    once per (name, sf_dir) per process; ``_cur(name)`` is republished on
+    every call, so the link always names the tree this call returned."""
+    out = _FIXTURE_CACHE.get((name, sf_dir))
+    if out is None:
+        from ..crawler import CrawlConfig, run_crawl
 
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    n_hosts = 16
-    web = WebConfig(n_hosts=n_hosts, pages_per_host=max(4, n_docs // n_hosts))
-    # stable digest (Python str hash is PYTHONHASHSEED-randomized) + pid so
-    # re-runs reuse the same dir and concurrent processes cannot collide
-    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-    out = f"/tmp/raycrawl_q/{tag}-{os.getpid()}"
-    cfg = CrawlConfig(
-        web=web,
-        out_dir=out,
-        num_shards=4,
-        max_epochs=60,
-        epoch_seconds=8.0,  # larger virtual epochs → fewer, denser epochs
-        burst=16.0,  # denser politeness budget → fewer epochs to exhaustion
-    )
-    run_crawl(cfg, seed_urls(web))
-    _CRAWL_CACHE[sf_dir] = out
-    _publish_current(out, "/tmp/raycrawl_q")
+        web_over, cfg_over = CRAWL_FIXTURES[name]
+        web_over = dict(web_over)
+        n_docs = pq.read_metadata(
+            os.path.join(sf_dir, "documents.parquet")).num_rows
+        web = WebConfig(
+            n_hosts=16,
+            pages_per_host=max(8, n_docs // 16) + web_over.pop("extra_pages", 0),
+            **web_over,
+        )
+        cfg = {"num_shards": 4, "max_epochs": 60, "epoch_seconds": 8.0,
+               "burst": 16.0, **cfg_over}
+        if "etag_manifest_dir" in cfg:
+            cfg["etag_manifest_dir"] = fixture_dir(cfg["etag_manifest_dir"],
+                                                   sf_dir)
+        out = _new_out_dir(name, sf_dir)
+        run_crawl(CrawlConfig(web=web, out_dir=out, **cfg), seed_urls(web))
+        _FIXTURE_CACHE[(name, sf_dir)] = out
+    _publish(name, out)
     return out
-
-
-# SQL oracles for crawl-artifact queries read the `current` symlink the
-# query itself publishes (see _publish_current): the harness executes the
-# SQL right after the Ray pipeline, so the link names the exact artifact
-# tree the pipeline read — an independent DuckDB replay of the same
-# parquet, not a re-derivation of the crawl.
-_Q_CUR = "/tmp/raycrawl_q/current"
 
 
 def _payload_sql(cur: str, cols: str) -> str:
@@ -98,7 +159,7 @@ def _payload_sql(cur: str, cols: str) -> str:
 @register(
     "crawl_payload",
     sql=_payload_sql(
-        _Q_CUR, "image_id, w, h, fmt, caption, phash, url, shard, epoch"
+        _cur("main"), "image_id, w, h, fmt, caption, phash, url, shard, epoch"
     ),
 )
 def crawl_payload(sf_dir: str):
@@ -111,7 +172,7 @@ def crawl_payload(sf_dir: str):
     storage)."""
     from ..crawler import read_payload
 
-    out = _crawl_out_dir(sf_dir)
+    out = fixture_dir("main", sf_dir)
     return read_payload(
         out,
         columns=["image_id", "w", "h", "fmt", "caption", "phash",
@@ -175,34 +236,11 @@ def payload_delta(dir_a: str, dir_b: str, num_partitions: int | None = None):
     return joined.map_batches(status, batch_format="pandas")
 
 
-def _recrawl_out_dir(sf_dir: str) -> str:
-    """Second cached crawl over a GROWN universe (+2 pages per host, same
-    content seed): the incremental-recrawl scenario — new pages appear,
-    existing page content is unchanged."""
-    key = f"{sf_dir}#recrawl"
-    if key in _CRAWL_CACHE:
-        _publish_current(_CRAWL_CACHE[key], "/tmp/raycrawl_q", "current-re")
-        return _CRAWL_CACHE[key]
-    from ..crawler import CrawlConfig, run_crawl
-
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    n_hosts = 16
-    web = WebConfig(n_hosts=n_hosts, pages_per_host=max(4, n_docs // n_hosts) + 2)
-    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-    out = f"/tmp/raycrawl_q/{tag}-re-{os.getpid()}"
-    cfg = CrawlConfig(web=web, out_dir=out, num_shards=4, max_epochs=60,
-                      epoch_seconds=8.0, burst=16.0)
-    run_crawl(cfg, seed_urls(web))
-    _CRAWL_CACHE[key] = out
-    _publish_current(out, "/tmp/raycrawl_q", "current-re")
-    return out
-
-
 @register(
     "crawl_recrawl_delta",
     sql=f"""
-    WITH a AS ({_payload_sql(_Q_CUR, 'image_id, w, h, fmt, phash, caption')}),
-    b AS ({_payload_sql('/tmp/raycrawl_q/current-re',
+    WITH a AS ({_payload_sql(_cur("main"), 'image_id, w, h, fmt, phash, caption')}),
+    b AS ({_payload_sql(_cur("recrawl"),
                         'image_id, w, h, fmt, phash, caption')}),
     j AS (
       SELECT a.image_id IS NOT NULL AS in_a,
@@ -230,7 +268,7 @@ def crawl_recrawl_delta(sf_dir: str):
 
     from .common import combine_small
 
-    delta = payload_delta(_crawl_out_dir(sf_dir), _recrawl_out_dir(sf_dir))
+    delta = payload_delta(fixture_dir("main", sf_dir), fixture_dir("recrawl", sf_dir))
 
     def partial(t: pa.Table) -> pa.Table:
         # fixed-cardinality key (4 statuses) → per-block combine + one
@@ -322,40 +360,17 @@ def _metrics_sql(cur: str) -> str:
     """
 
 
-@register("crawl_frontier_metrics", sql=_metrics_sql(_Q_CUR))
+@register("crawl_frontier_metrics", sql=_metrics_sql(_cur("main")))
 def crawl_frontier_metrics(sf_dir: str):
     """Per-shard lineage metrics from the final checkpoint manifests.
     The SQL oracle replays the manifest JSONs via the `current` symlink."""
-    return frontier_metrics_frame(_crawl_out_dir(sf_dir))
-
-
-def _trap_crawl_out_dir(sf_dir: str) -> str:
-    """Cached trap-gated crawl over a trap-link universe (same sizing as
-    the main cached crawl): the trap-defense scenario end to end."""
-    key = f"{sf_dir}#trap"
-    if key in _CRAWL_CACHE:
-        _publish_current(_CRAWL_CACHE[key], "/tmp/raycrawl_trap")
-        return _CRAWL_CACHE[key]
-    from ..crawler import CrawlConfig, run_crawl
-
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    n_hosts = 16
-    web = WebConfig(n_hosts=n_hosts, pages_per_host=max(4, n_docs // n_hosts),
-                    trap_links=True)
-    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-    out = f"/tmp/raycrawl_q/{tag}-trap-{os.getpid()}"
-    cfg = CrawlConfig(web=web, out_dir=out, num_shards=4, max_epochs=60,
-                      epoch_seconds=8.0, burst=16.0, trap_filter=True)
-    run_crawl(cfg, seed_urls(web))
-    _CRAWL_CACHE[key] = out
-    _publish_current(out, "/tmp/raycrawl_trap")
-    return out
+    return frontier_metrics_frame(fixture_dir("main", sf_dir))
 
 
 @register(
     "crawl_host_fairness",
     sql=f"""
-    WITH p AS ({_payload_sql(_Q_CUR, 'url')}),
+    WITH p AS ({_payload_sql(_cur("main"), 'url')}),
     h AS (
       SELECT split_part(split_part(url, '://', 2), '/', 1) AS host,
              count(*) AS n
@@ -378,15 +393,14 @@ def crawl_host_fairness(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
+    from ..core.urltools import netlocs
     from ..crawler import read_payload
     from .common import combine_small, round_half_away
 
-    ds = read_payload(_crawl_out_dir(sf_dir), columns=["url"])
+    ds = read_payload(fixture_dir("main", sf_dir), columns=["url"])
 
     def partial(t: pa.Table) -> pa.Table:
-        hosts = [u.split("://", 1)[1].split("/", 1)[0]
-                 for u in t["url"].to_pylist()]
-        tmp = pa.table({"host": pa.array(hosts, pa.string())})
+        tmp = pa.table({"host": netlocs(t["url"])})
         return (
             pa.TableGroupBy(tmp, "host")
             .aggregate([([], "count_all")])
@@ -416,7 +430,7 @@ def crawl_host_fairness(sf_dir: str):
 
 
 @register("crawl_trap_gate_metrics",
-          sql=_metrics_sql("/tmp/raycrawl_trap/current"))
+          sql=_metrics_sql(_cur("trap")))
 def crawl_trap_gate_metrics(sf_dir: str):
     """Per-shard lineage metrics of a trap-GATED crawl over a trap-link
     universe (the gate's engine⋄oracle parity and growth containment are
@@ -424,7 +438,7 @@ def crawl_trap_gate_metrics(sf_dir: str):
     trap_denied > 0-able counts; the payload of this crawl contains zero
     trap URLs. SQL oracle = manifest replay via the trap `current`
     symlink."""
-    return frontier_metrics_frame(_trap_crawl_out_dir(sf_dir))
+    return frontier_metrics_frame(fixture_dir("trap", sf_dir))
 
 
 # ----------------------------------------------------------- multimodal
@@ -1231,7 +1245,7 @@ PAIR_MAX_ASPECT = 3.0
 @register(
     "caption_pair_curation_stats",
     sql=f"""
-    WITH p AS ({_payload_sql(_Q_CUR, 'epoch, caption, w, h')}),
+    WITH p AS ({_payload_sql(_cur("main"), 'epoch, caption, w, h')}),
     x AS (
       SELECT epoch,
              CAST(len(regexp_extract_all(caption, '\\S+')) AS BIGINT)
@@ -1259,7 +1273,7 @@ def caption_pair_curation_stats(sf_dir: str):
     from ..crawler import read_payload
     from .common import combine_small, round_half_away
 
-    out = _crawl_out_dir(sf_dir)
+    out = fixture_dir("main", sf_dir)
     ds = read_payload(out, columns=["epoch", "caption", "w", "h"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -1459,7 +1473,7 @@ def _cov_sql(label: str) -> str:
     """Coverage set of one crawl out-dir: payload url_hash ∪ suppressed
     url_hash (matches ``covered()``, whose url_sha1(url) IS the payload's
     url_hash column)."""
-    cur = f"/tmp/raycrawl_q/current-mrg-{label}"
+    cur = _cur(f"merge-{label}")
     return f"""
       SELECT url_hash FROM read_parquet('{cur}/payload/epoch=*/*.parquet')
       UNION
@@ -1491,7 +1505,7 @@ def _cov_sql(label: str) -> str:
             (SELECT * FROM cov_f EXCEPT SELECT * FROM u)) = 0)
         AS union_matches_full,
       CAST((SELECT count(DISTINCT shard) FROM read_json(
-        '/tmp/raycrawl_q/current-mrg-m/checkpoints/epoch=*/shard=*/manifest.json',
+        '{_cur("merge-m")}/checkpoints/epoch=*/shard=*/manifest.json',
         columns={{'shard': 'BIGINT'}})) AS BIGINT) AS merged_shards
     """,
 )
@@ -1518,8 +1532,8 @@ def crawl_merge_coverage(sf_dir: str):
         pages_per_host=max(4, min(n_docs, 4096) // n_hosts),
         neardup_every=1,
     )
-    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-    base = f"/tmp/raycrawl_q/{tag}-mrg-{os.getpid()}"
+    outs = {label: _new_out_dir(f"merge-{label}", sf_dir)
+            for label in ("a", "b", "m", "f")}
     seeds = seed_urls(web)
 
     def crawl(out, seed_list, max_epochs, resume=False):
@@ -1548,17 +1562,16 @@ def crawl_merge_coverage(sf_dir: str):
             )
         return urls
 
-    crawl(f"{base}-a", seeds[: len(seeds) // 2], max_epochs=4)
-    crawl(f"{base}-b", seeds[len(seeds) // 2 :], max_epochs=4)
-    summary = merge_checkpoints(f"{base}-a", f"{base}-b", f"{base}-m")
-    crawl(f"{base}-m", [], max_epochs=200, resume=True)
-    crawl(f"{base}-f", seeds, max_epochs=200)
+    crawl(outs["a"], seeds[: len(seeds) // 2], max_epochs=4)
+    crawl(outs["b"], seeds[len(seeds) // 2 :], max_epochs=4)
+    summary = merge_checkpoints(outs["a"], outs["b"], outs["m"])
+    crawl(outs["m"], [], max_epochs=200, resume=True)
+    crawl(outs["f"], seeds, max_epochs=200)
 
-    for label in ("a", "b", "m", "f"):
-        _publish_current(f"{base}-{label}", "/tmp/raycrawl_q",
-                         f"current-mrg-{label}")
-    cov_a, cov_b = covered(f"{base}-a"), covered(f"{base}-b")
-    cov_m, cov_f = covered(f"{base}-m"), covered(f"{base}-f")
+    for label, out in outs.items():
+        _publish(f"merge-{label}", out)
+    cov_a, cov_b = covered(outs["a"]), covered(outs["b"])
+    cov_m, cov_f = covered(outs["m"]), covered(outs["f"])
     union = cov_a | cov_b | cov_m
     return pd.DataFrame(
         {
@@ -1744,7 +1757,7 @@ def phash_pair_psnr_verify(sf_dir: str):
 @register(
     "crawl_tier_feedback",
     sql=f"""
-    WITH p AS ({_payload_sql(_Q_CUR, 'url, w, h')}),
+    WITH p AS ({_payload_sql(_cur("main"), 'url, w, h')}),
     h AS (
       SELECT split_part(split_part(url, '://', 2), '/', 1) AS host,
              count(*) AS n,
@@ -1779,7 +1792,7 @@ def crawl_tier_feedback(sf_dir: str):
     end-to-end against oracle_crawl with the same boost map. CLI:
     ``python -m raycrawl tier-feedback <out_dir> --boosts-out b.json``
     then ``crawl --host-boosts b.json --pop-budget N``."""
-    return tier_feedback_table(_crawl_out_dir(sf_dir))
+    return tier_feedback_table(fixture_dir("main", sf_dir))
 
 
 def tier_feedback_table(crawl_out_dir: str):
@@ -1789,18 +1802,16 @@ def tier_feedback_table(crawl_out_dir: str):
     import pandas as pd
     import pyarrow as pa
 
+    from ..core.urltools import netlocs
     from ..crawler import read_payload
     from .common import combine_small, round_half_away
 
     ds = read_payload(crawl_out_dir, columns=["url", "w", "h"])
 
     def partial(t: pa.Table) -> pa.Table:
-        hosts = [u.split("://", 1)[1].split("/", 1)[0]
-                 for u in t["url"].to_pylist()]
         area = (t["w"].to_numpy(zero_copy_only=False).astype(np.int64)
                 * t["h"].to_numpy(zero_copy_only=False).astype(np.int64))
-        tmp = pa.table({"host": pa.array(hosts, pa.string()),
-                        "area": pa.array(area)})
+        tmp = pa.table({"host": netlocs(t["url"]), "area": pa.array(area)})
         g = pa.TableGroupBy(tmp, "host").aggregate(
             [("area", "sum"), ([], "count_all")]
         )
@@ -1834,41 +1845,12 @@ def tier_feedback_table(crawl_out_dir: str):
 
 
 # ---------------------------------------------------------------- quota
-_QUOTA_CRAWL_CACHE: dict = {}
-_QUOTA_PER_HOST = 6
-
-
-def _quota_crawl_dir(sf_dir: str) -> str:
-    """Run (once per sf_dir per process) a QUOTA-CAPPED crawl — the
-    crawl-budget feature under audit (CrawlConfig.max_pages_per_host)."""
-    if sf_dir in _QUOTA_CRAWL_CACHE:
-        _publish_current(_QUOTA_CRAWL_CACHE[sf_dir], "/tmp/raycrawl_quota")
-        return _QUOTA_CRAWL_CACHE[sf_dir]
-    from ..crawler import CrawlConfig, run_crawl
-
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    n_hosts = 16
-    web = WebConfig(n_hosts=n_hosts, pages_per_host=max(8, n_docs // n_hosts))
-    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-    out = f"/tmp/raycrawl_quota/{tag}-{os.getpid()}"
-    cfg = CrawlConfig(
-        web=web, out_dir=out, num_shards=4, max_epochs=60,
-        epoch_seconds=8.0, burst=16.0,
-        max_pages_per_host=_QUOTA_PER_HOST,
-    )
-    run_crawl(cfg, seed_urls(web))
-    _QUOTA_CRAWL_CACHE[sf_dir] = out
-    _publish_current(out, "/tmp/raycrawl_quota")
-    return out
-
-
-_QUOTA_CUR = "/tmp/raycrawl_quota/current"
 
 
 @register(
     "crawl_quota_audit",
     sql=f"""
-    WITH p AS ({_payload_sql(_QUOTA_CUR, 'url')}),
+    WITH p AS ({_payload_sql(_cur("quota"), 'url')}),
     h AS (
       SELECT split_part(split_part(url, '://', 2), '/', 1) AS host,
              count(*) AS n
@@ -1876,7 +1858,7 @@ _QUOTA_CUR = "/tmp/raycrawl_quota/current"
     man AS (
       SELECT epoch, metrics
       FROM read_json(
-        '{_QUOTA_CUR}/checkpoints/epoch=*/shard=*/manifest.json',
+        '{_cur("quota")}/checkpoints/epoch=*/shard=*/manifest.json',
         columns={{'epoch': 'BIGINT', 'metrics': 'JSON'}})),
     m AS (
       SELECT
@@ -1907,16 +1889,15 @@ def crawl_quota_audit(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
+    from ..core.urltools import netlocs
     from ..crawler import read_payload
     from .common import combine_small
 
-    out = _quota_crawl_dir(sf_dir)
+    out = fixture_dir("quota", sf_dir)
     ds = read_payload(out, columns=["url"])
 
     def partial(t: pa.Table) -> pa.Table:
-        hosts = [u.split("://", 1)[1].split("/", 1)[0]
-                 for u in t["url"].to_pylist()]
-        tmp = pa.table({"host": pa.array(hosts, pa.string())})
+        tmp = pa.table({"host": netlocs(t["url"])})
         return (
             pa.TableGroupBy(tmp, "host")
             .aggregate([([], "count_all")])
@@ -1962,36 +1943,6 @@ def crawl_quota_audit(sf_dir: str):
 # fixed-cardinality partials. Rows-only (a crawl is not
 # SQL-expressible); pytest pins the savings and count consistencies.
 
-_FOCUS_KEYWORDS = ("cedar", "quartz")
-_FOCUS_CRAWL_CACHE: dict[str, tuple[str, str]] = {}
-
-
-def _focus_crawl_dirs(sf_dir: str) -> tuple[str, str]:
-    if sf_dir in _FOCUS_CRAWL_CACHE:
-        op, of = _FOCUS_CRAWL_CACHE[sf_dir]
-        _publish_current(op, "/tmp/raycrawl_focus", "current-plain")
-        _publish_current(of, "/tmp/raycrawl_focus", "current-focus")
-        return _FOCUS_CRAWL_CACHE[sf_dir]
-    from ..crawler import CrawlConfig, run_crawl
-
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    n_hosts = 16
-    web = WebConfig(n_hosts=n_hosts, pages_per_host=max(8, n_docs // n_hosts))
-    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-    outs = []
-    for label, focus in (("plain", None), ("focus", _FOCUS_KEYWORDS)):
-        out = f"/tmp/raycrawl_focus/{tag}-{os.getpid()}-{label}"
-        cfg = CrawlConfig(
-            web=web, out_dir=out, num_shards=4, max_epochs=40,
-            epoch_seconds=8.0, burst=16.0, focus_keywords=focus,
-        )
-        run_crawl(cfg, seed_urls(web))
-        outs.append(out)
-    _FOCUS_CRAWL_CACHE[sf_dir] = (outs[0], outs[1])
-    _publish_current(outs[0], "/tmp/raycrawl_focus", "current-plain")
-    _publish_current(outs[1], "/tmp/raycrawl_focus", "current-focus")
-    return _FOCUS_CRAWL_CACHE[sf_dir]
-
 
 def _focus_payload_sql(cur: str) -> str:
     kw = " OR ".join(
@@ -2008,8 +1959,8 @@ def _focus_payload_sql(cur: str) -> str:
 @register(
     "crawl_focus_yield",
     sql=f"""
-    WITH p AS ({_focus_payload_sql('/tmp/raycrawl_focus/current-plain')}),
-    f AS ({_focus_payload_sql('/tmp/raycrawl_focus/current-focus')})
+    WITH p AS ({_focus_payload_sql(_cur("focus_plain"))}),
+    f AS ({_focus_payload_sql(_cur("focus"))})
     SELECT CAST(p.n AS BIGINT) AS fetched_plain,
            CAST(f.n AS BIGINT) AS fetched_focus,
            p.on_topic AS on_topic_plain,
@@ -2030,7 +1981,8 @@ def crawl_focus_yield(sf_dir: str):
     from ..crawler import read_payload
     from .common import combine_small, round_half_away
 
-    out_plain, out_focus = _focus_crawl_dirs(sf_dir)
+    out_plain = fixture_dir("focus_plain", sf_dir)
+    out_focus = fixture_dir("focus", sf_dir)
 
     def topic_partial(t: pa.Table) -> pa.Table:
         cap = pc.utf8_lower(t["caption"])
@@ -2086,31 +2038,6 @@ def crawl_focus_yield(sf_dir: str):
 # pop), and the final checkpoint's per-host consecutive-error streaks.
 # Rows-only; pytest pins sidecar-rows == metric total and streak bounds.
 
-_BACKOFF_CRAWL_CACHE: dict[str, str] = {}
-
-
-def _backoff_crawl_dir(sf_dir: str) -> str:
-    if sf_dir in _BACKOFF_CRAWL_CACHE:
-        return _BACKOFF_CRAWL_CACHE[sf_dir]
-    from ..crawler import CrawlConfig, run_crawl
-
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    n_hosts = 16
-    web = WebConfig(n_hosts=n_hosts, pages_per_host=max(8, n_docs // n_hosts))
-    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-    out = f"/tmp/raycrawl_backoff/{tag}-{os.getpid()}"
-    cfg = CrawlConfig(
-        web=web, out_dir=out, num_shards=4, max_epochs=60,
-        epoch_seconds=8.0, burst=16.0, error_backoff=True,
-    )
-    run_crawl(cfg, seed_urls(web))
-    _BACKOFF_CRAWL_CACHE[sf_dir] = out
-    _publish_current(out, "/tmp/raycrawl_backoff")
-    return out
-
-
-_BACKOFF_CUR = "/tmp/raycrawl_backoff/current"
-
 
 @register(
     "crawl_backoff_audit",
@@ -2118,7 +2045,7 @@ _BACKOFF_CUR = "/tmp/raycrawl_backoff/current"
     WITH man AS (
       SELECT epoch, metrics, host_consec_errors AS hce
       FROM read_json(
-        '{_BACKOFF_CUR}/checkpoints/epoch=*/shard=*/manifest.json',
+        '{_cur("backoff")}/checkpoints/epoch=*/shard=*/manifest.json',
         columns={{'epoch': 'BIGINT', 'metrics': 'JSON',
                   'host_consec_errors': 'JSON'}})),
     latest AS (SELECT max(epoch) AS ep FROM man),
@@ -2135,7 +2062,7 @@ _BACKOFF_CUR = "/tmp/raycrawl_backoff/current"
       FROM lm, unnest(json_keys(hce)) AS t(k)),
     side AS (
       SELECT count(*) AS nrows
-      FROM read_parquet('{_BACKOFF_CUR}/errors/epoch=*.parquet'))
+      FROM read_parquet('{_cur("backoff")}/errors/epoch=*.parquet'))
     SELECT (SELECT v FROM fe) AS fetch_errors,
            CAST((SELECT nrows FROM side) AS BIGINT) AS error_sidecar_rows,
            CAST((SELECT count(*) FROM streaks) AS BIGINT)
@@ -2153,7 +2080,7 @@ def crawl_backoff_audit(sf_dir: str):
 
     from ..crawler import latest_checkpoint_epoch
 
-    out = _backoff_crawl_dir(sf_dir)
+    out = fixture_dir("backoff", sf_dir)
     epoch = latest_checkpoint_epoch(out)
     fetch_errors = 0
     streaks: dict[str, int] = {}
@@ -2191,31 +2118,6 @@ def crawl_backoff_audit(sf_dir: str):
 # carry payload). Rows-only: the crawl engine is not SQL-expressible; the
 # per-value oracle is tests/test_redirects.py's engine-vs-sequential-oracle
 # parity plus the reconciliation pytest over this table.
-_REDIRECT_CRAWL_CACHE: dict[str, str] = {}
-
-
-def _redirect_crawl_dir(sf_dir: str) -> str:
-    if sf_dir in _REDIRECT_CRAWL_CACHE:
-        return _REDIRECT_CRAWL_CACHE[sf_dir]
-    from ..crawler import CrawlConfig, run_crawl
-
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    n_hosts = 16
-    web = WebConfig(n_hosts=n_hosts, pages_per_host=max(8, n_docs // n_hosts),
-                    redirect_every=3)
-    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-    out = f"/tmp/raycrawl_redirect/{tag}-{os.getpid()}"
-    cfg = CrawlConfig(
-        web=web, out_dir=out, num_shards=4, max_epochs=60,
-        epoch_seconds=8.0, burst=16.0,
-    )
-    run_crawl(cfg, seed_urls(web))
-    _REDIRECT_CRAWL_CACHE[sf_dir] = out
-    _publish_current(out, "/tmp/raycrawl_redirect")
-    return out
-
-
-_REDIR_CUR = "/tmp/raycrawl_redirect/current"
 
 
 @register(
@@ -2224,7 +2126,7 @@ _REDIR_CUR = "/tmp/raycrawl_redirect/current"
     WITH man AS (
       SELECT epoch, metrics
       FROM read_json(
-        '{_REDIR_CUR}/checkpoints/epoch=*/shard=*/manifest.json',
+        '{_cur("redirect")}/checkpoints/epoch=*/shard=*/manifest.json',
         columns={{'epoch': 'BIGINT', 'metrics': 'JSON'}})),
     latest AS (SELECT max(epoch) AS ep FROM man),
     rf AS (
@@ -2233,10 +2135,10 @@ _REDIR_CUR = "/tmp/raycrawl_redirect/current"
       FROM man, latest WHERE epoch = ep),
     side AS (
       SELECT count(*) AS nrows, count(DISTINCT host) AS nhosts
-      FROM read_parquet('{_REDIR_CUR}/redirects/epoch=*.parquet')),
+      FROM read_parquet('{_cur("redirect")}/redirects/epoch=*.parquet')),
     pay AS (
       SELECT count(*) AS n
-      FROM read_parquet('{_REDIR_CUR}/payload/epoch=*/*.parquet')
+      FROM read_parquet('{_cur("redirect")}/payload/epoch=*/*.parquet')
       WHERE url LIKE '%/r/%')
     SELECT (SELECT v FROM rf) AS redirects_followed,
            CAST((SELECT nrows FROM side) AS BIGINT)
@@ -2256,7 +2158,7 @@ def crawl_redirect_audit(sf_dir: str):
 
     from ..crawler import latest_checkpoint_epoch
 
-    out = _redirect_crawl_dir(sf_dir)
+    out = fixture_dir("redirect", sf_dir)
     epoch = latest_checkpoint_epoch(out)
     redirects_followed = 0
     base = os.path.join(out, "checkpoints", f"epoch={epoch}")
@@ -2301,7 +2203,7 @@ def crawl_redirect_audit(sf_dir: str):
 @register(
     "crawl_caption_novelty_by_epoch",
     sql=f"""
-    WITH p AS ({_payload_sql(_Q_CUR, 'caption, epoch')}),
+    WITH p AS ({_payload_sql(_cur("main"), 'caption, epoch')}),
     tok AS (
       SELECT epoch,
              list_filter(string_split_regex(caption, '\\s+'),
@@ -2331,7 +2233,7 @@ def crawl_caption_novelty_by_epoch(sf_dir: str):
     from ..crawler import read_payload
     from .common import bucketed_group_agg, combine_small, round_half_away
 
-    out = _crawl_out_dir(sf_dir)
+    out = fixture_dir("main", sf_dir)
     ds = read_payload(out, columns=["caption", "epoch"])
 
     def grams(df: pd.DataFrame) -> pd.DataFrame:
@@ -2435,13 +2337,13 @@ def depth_histogram_from_out(out_dir: str):
     sql=f"""
     SELECT depth, CAST(count(*) AS BIGINT) AS n_fetched
     FROM read_parquet(
-      '{_Q_CUR}/checkpoints/epoch=*/shard=*/fetch_log_increment.parquet')
+      '{_cur("main")}/checkpoints/epoch=*/shard=*/fetch_log_increment.parquet')
     WHERE status = 'fetched'
     GROUP BY depth ORDER BY depth
     """,
 )
 def crawl_depth_histogram(sf_dir: str):
-    return depth_histogram_from_out(_crawl_out_dir(sf_dir))
+    return depth_histogram_from_out(fixture_dir("main", sf_dir))
 
 
 # --------------------------------------------------------------------------
@@ -2583,43 +2485,12 @@ def recrawl_boost_plan(dir_a: str, dir_b: str) -> dict[str, int]:
     return out
 
 
-_VOLATILE_CRAWL_CACHE: dict[str, str] = {}
-
-
-def _volatile_recrawl_out_dir(sf_dir: str) -> str:
-    """Generation-1 crawl of the SAME universe as _crawl_out_dir but with
-    content_epoch=1: volatile pages' content differs, stable pages match."""
-    if sf_dir in _VOLATILE_CRAWL_CACHE:
-        _publish_current(_VOLATILE_CRAWL_CACHE[sf_dir],
-                         "/tmp/raycrawl_volatile")
-        return _VOLATILE_CRAWL_CACHE[sf_dir]
-    from ..crawler import CrawlConfig, run_crawl
-
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    n_hosts = 16
-    web = WebConfig(n_hosts=n_hosts, pages_per_host=max(4, n_docs // n_hosts),
-                    content_epoch=1)
-    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-    out = f"/tmp/raycrawl_volatile/{tag}-{os.getpid()}"
-    cfg = CrawlConfig(
-        web=web, out_dir=out, num_shards=4, max_epochs=60,
-        epoch_seconds=8.0, burst=16.0,
-    )
-    run_crawl(cfg, seed_urls(web))
-    _VOLATILE_CRAWL_CACHE[sf_dir] = out
-    _publish_current(out, "/tmp/raycrawl_volatile")
-    return out
-
-
-_VOL_CUR = "/tmp/raycrawl_volatile/current"
-
-
 @register(
     "crawl_change_rate_by_host",
     sql=f"""
-    WITH a AS ({_payload_sql(_Q_CUR,
+    WITH a AS ({_payload_sql(_cur("main"),
                 'image_id, url, url_hash, w, h, fmt, phash, caption')}),
-    b AS ({_payload_sql(_VOL_CUR, 'image_id, w, h, fmt, phash, caption')}),
+    b AS ({_payload_sql(_cur("volatile"), 'image_id, w, h, fmt, phash, caption')}),
     common AS (
       SELECT split_part(split_part(a.url, '://', 2), '/', 1) AS host,
              CASE WHEN a.w = b.w AND a.h = b.h AND a.fmt = b.fmt
@@ -2633,7 +2504,7 @@ _VOL_CUR = "/tmp/raycrawl_volatile/current"
              count(*) AS n_unchanged
       FROM a WHERE url_hash IN (
         SELECT url_hash
-        FROM read_parquet('{_VOL_CUR}/not_modified/epoch=*.parquet'))
+        FROM read_parquet('{_cur("volatile")}/not_modified/epoch=*.parquet'))
       GROUP BY 1),
     agg AS (
       SELECT host, count(*) AS n_common,
@@ -2657,8 +2528,8 @@ def crawl_change_rate_by_host(sf_dir: str):
     content-tuple comparison, 304 sidecar as unchanged-common) via the
     two `current` symlinks; tests/test_recrawl.py pins the
     page_is_volatile ground truth."""
-    return host_change_rates(_crawl_out_dir(sf_dir),
-                             _volatile_recrawl_out_dir(sf_dir))
+    return host_change_rates(fixture_dir("main", sf_dir),
+                             fixture_dir("volatile", sf_dir))
 
 
 # --------------------------------------------------------------------------
@@ -2669,41 +2540,14 @@ def crawl_change_rate_by_host(sf_dir: str):
 # digest-union partition invariant holds with the fourth sidecar tree.
 # Rows-only; the per-row oracle is tests/test_conditional_fetch.py's
 # engine-vs-sequential-oracle parity.
-_INCR_CRAWL_CACHE: dict[str, str] = {}
-
-
-def _incremental_recrawl_out_dir(sf_dir: str) -> str:
-    if sf_dir in _INCR_CRAWL_CACHE:
-        _publish_current(_INCR_CRAWL_CACHE[sf_dir], "/tmp/raycrawl_incr")
-        return _INCR_CRAWL_CACHE[sf_dir]
-    from ..crawler import CrawlConfig, run_crawl
-
-    base = _crawl_out_dir(sf_dir)  # generation 0 (shared cache)
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    n_hosts = 16
-    web = WebConfig(n_hosts=n_hosts, pages_per_host=max(4, n_docs // n_hosts),
-                    content_epoch=1)
-    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-    out = f"/tmp/raycrawl_incr/{tag}-{os.getpid()}"
-    cfg = CrawlConfig(
-        web=web, out_dir=out, num_shards=4, max_epochs=60,
-        epoch_seconds=8.0, burst=16.0, etag_manifest_dir=base,
-    )
-    run_crawl(cfg, seed_urls(web))
-    _INCR_CRAWL_CACHE[sf_dir] = out
-    _publish_current(out, "/tmp/raycrawl_incr")
-    return out
-
-
-_INCR_CUR = "/tmp/raycrawl_incr/current"
 
 
 @register(
     "crawl_incremental_audit",
     sql=f"""
-    WITH g0 AS ({_payload_sql(_Q_CUR,
+    WITH g0 AS ({_payload_sql(_cur("main"),
                  'image_id, w, h, fmt, phash, caption')}),
-    g1 AS ({_payload_sql(_INCR_CUR,
+    g1 AS ({_payload_sql(_cur("incr"),
                  'image_id, w, h, fmt, phash, caption')}),
     common AS (
       -- etag equality is content-tuple equality (content_etag is a
@@ -2716,7 +2560,7 @@ _INCR_CUR = "/tmp/raycrawl_incr/current"
     man AS (
       SELECT epoch, metrics
       FROM read_json(
-        '{_INCR_CUR}/checkpoints/epoch=*/shard=*/manifest.json',
+        '{_cur("incr")}/checkpoints/epoch=*/shard=*/manifest.json',
         columns={{'epoch': 'BIGINT', 'metrics': 'JSON'}})),
     nm AS (
       SELECT CAST(SUM(COALESCE(CAST(json_extract(metrics,
@@ -2724,7 +2568,7 @@ _INCR_CUR = "/tmp/raycrawl_incr/current"
       FROM man WHERE epoch = (SELECT max(epoch) FROM man)),
     side AS (
       SELECT count(*) AS n
-      FROM read_parquet('{_INCR_CUR}/not_modified/epoch=*.parquet'))
+      FROM read_parquet('{_cur("incr")}/not_modified/epoch=*.parquet'))
     SELECT (SELECT v FROM nm) AS not_modified,
            CAST((SELECT n FROM side) AS BIGINT) AS nm_sidecar_rows,
            CAST((SELECT count(*) FROM g0) AS BIGINT) AS gen0_stored,
@@ -2743,8 +2587,8 @@ def crawl_incremental_audit(sf_dir: str):
 
     from ..crawler import latest_checkpoint_epoch, read_payload
 
-    base = _crawl_out_dir(sf_dir)
-    out = _incremental_recrawl_out_dir(sf_dir)
+    base = fixture_dir("main", sf_dir)
+    out = fixture_dir("incr", sf_dir)
     epoch = latest_checkpoint_epoch(out)
     not_modified = 0
     ckpt = os.path.join(out, "checkpoints", f"epoch={epoch}")
@@ -2849,28 +2693,6 @@ def crawl_incremental_audit(sf_dir: str):
 # host level first (bounded node set: the host universe), so the
 # iteration state is tiny regardless of corpus size. Rows-only; oracles
 # are python recomputes in tests/test_linklog.py.
-_LINKLOG_CRAWL_CACHE: dict[str, str] = {}
-
-
-def _linklog_crawl_out_dir(sf_dir: str) -> str:
-    if sf_dir in _LINKLOG_CRAWL_CACHE:
-        _publish_current(_LINKLOG_CRAWL_CACHE[sf_dir], "/tmp/raycrawl_links")
-        return _LINKLOG_CRAWL_CACHE[sf_dir]
-    from ..crawler import CrawlConfig, run_crawl
-
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    n_hosts = 16
-    web = WebConfig(n_hosts=n_hosts, pages_per_host=max(4, n_docs // n_hosts))
-    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-    out = f"/tmp/raycrawl_links/{tag}-{os.getpid()}"
-    cfg = CrawlConfig(
-        web=web, out_dir=out, num_shards=4, max_epochs=60,
-        epoch_seconds=8.0, burst=16.0, link_log=True,
-    )
-    run_crawl(cfg, seed_urls(web))
-    _LINKLOG_CRAWL_CACHE[sf_dir] = out
-    _publish_current(out, "/tmp/raycrawl_links")
-    return out
 
 
 def read_link_log(out_dir: str, columns: list[str] | None = None):
@@ -2926,10 +2748,10 @@ def inlink_top_pages(out_dir: str, k: int = 20):
 
 @register(
     "crawl_inlink_top_pages",
-    sql="""
+    sql=f"""
     WITH e AS (
       SELECT DISTINCT src_hash, dst_url
-      FROM read_parquet('/tmp/raycrawl_links/current/links/epoch=*.parquet')),
+      FROM read_parquet('{_cur("links")}/links/epoch=*.parquet')),
     c AS (
       SELECT dst_url, CAST(count(*) AS BIGINT) AS inlinks
       FROM e GROUP BY dst_url)
@@ -2938,7 +2760,7 @@ def inlink_top_pages(out_dir: str, k: int = 20):
     """,
 )
 def crawl_inlink_top_pages(sf_dir: str):
-    return inlink_top_pages(_linklog_crawl_out_dir(sf_dir))
+    return inlink_top_pages(fixture_dir("links", sf_dir))
 
 
 def host_pagerank(out_dir: str, damping: float = 0.85, iters: int = 20):
@@ -2991,28 +2813,29 @@ def host_pagerank(out_dir: str, damping: float = 0.85, iters: int = 20):
         np.add.at(contrib, di, r[si] * w / out_w[si])
         dangling = r[out_w == 0].sum() / n
         r = (1 - damping) / n + damping * (contrib + dangling)
-    order = np.lexsort((hosts, -r))
     from .common import round_half_away
 
+    # half-away (DuckDB ROUND's tie rule) like every other ROUND()-compared
+    # column; ordered by the rounded value, the same key the SQL sorts by
+    rr = round_half_away(r, 8)
+    order = np.lexsort((hosts, -rr))
     return pa.table(
         {
             "host": pa.array([hosts[i] for i in order], pa.string()),
-            # half-away (DuckDB ROUND's tie rule) like every other
-            # ROUND()-compared column
-            "pagerank": pa.array(round_half_away(r[order], 8)),
+            "pagerank": pa.array(rr[order]),
         }
     )
 
 
 @register(
     "crawl_host_pagerank",
-    sql="""
+    sql=f"""
     WITH RECURSIVE
     e AS (
       SELECT split_part(split_part(src_url, '://', 2), '/', 1) AS src,
              split_part(split_part(dst_url, '://', 2), '/', 1) AS dst,
              CAST(count(*) AS DOUBLE) AS w
-      FROM read_parquet('/tmp/raycrawl_links/current/links/epoch=*.parquet')
+      FROM read_parquet('{_cur("links")}/links/epoch=*.parquet')
       GROUP BY 1, 2),
     -- NOT `src UNION dst`: under WITH RECURSIVE, DuckDB treats a
     -- base-UNION-recursive shaped CTE as an iteration and skips the
@@ -3048,4 +2871,4 @@ def crawl_host_pagerank(sf_dir: str):
     oracle replays the SAME power iteration as a recursive CTE over the
     links artifact tree (via the links `current` symlink) — an
     independent fixed-point computation, not a copy of the numpy one."""
-    return host_pagerank(_linklog_crawl_out_dir(sf_dir))
+    return host_pagerank(fixture_dir("links", sf_dir))

@@ -853,8 +853,9 @@ def image_letterbox_plan(sf_dir: str):
 # finished shards). Returns the export manifest: one row per shard with
 # row counts + byte totals read back FROM THE WRITTEN FILES, plus the
 # gate ledger, so the output is verified where it landed, not where it
-# was produced. Rows-only (writes under /tmp; codec in the loop); pytest
-# pins the gate ledger reconciliation and the resume-skip contract.
+# was produced. Rows-only (writes under the crawl fixture base; codec in
+# the loop); pytest pins the gate ledger reconciliation and the
+# resume-skip contract.
 #
 # Scale shape: every stage is the already-verified operator (decode gate
 # = image_quality_filter's, dedup = image_exact_dedup_bytes's digest
@@ -872,11 +873,10 @@ def curated_corpus_export(sf_dir: str, out_dir: str | None = None):
 
     from ..core.codec import decode_image
     from ..io.partsink import read_partitioned, write_partitioned_resumable
-    from .crawlq import _payload_images
+    from .crawlq import _new_out_dir, _payload_images
 
     if out_dir is None:
-        tag = _hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-        out_dir = f"/tmp/raycrawl_export/{tag}-{os.getpid()}"
+        out_dir = _new_out_dir("export", sf_dir)
         shutil.rmtree(out_dir, ignore_errors=True)
 
     payload = _payload_images(sf_dir)

@@ -7,6 +7,7 @@ from raycrawl.core.urltools import (
     canonicalize_url,
     url_sha1,
     host_of,
+    netlocs,
     shard_of_host,
 )
 from raycrawl.core.codec import (
@@ -62,6 +63,31 @@ class TestCanonicalize:
         s = shard_of_host("h1.web.test", 8)
         assert 0 <= s < 8
         assert s == shard_of_host("h1.web.test", 8)  # stable
+
+    def test_netlocs_match_split_and_duckdb(self):
+        import duckdb
+        import pyarrow as pa
+
+        urls = [
+            "http://h1.web.test/p/3",
+            "http://h1.web.test:8080/p/3",  # port kept
+            "http://h2.web.test",  # no path
+            "http://h2.web.test/",
+            "http://[2001:db8::1]:8443/a/b",  # bracketed IPv6
+            "http://[::1]/x://y",  # second '://' is path
+        ]
+        want = [u.split("://", 1)[1].split("/", 1)[0] for u in urls]
+        assert want[1] == "h1.web.test:8080"
+        assert want[4] == "[2001:db8::1]:8443"
+        arr = pa.array(urls)
+        assert netlocs(arr).to_pylist() == want
+        chunked = pa.chunked_array([arr[:2], arr[2:]])
+        assert netlocs(chunked).to_pylist() == want
+        t = pa.table({"url": arr})
+        sql = duckdb.sql(
+            "SELECT split_part(split_part(url, '://', 2), '/', 1) AS n FROM t"
+        ).arrow()
+        assert sql["n"].to_pylist() == want
 
 
 class TestCodec:

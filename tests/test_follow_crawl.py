@@ -227,3 +227,51 @@ def test_follow_offset_persists_across_resume(ray_session, tmp_path):
     assert {s: sorted(v) for s, v in full.seen.items()} == {
         s: sorted(v) for s, v in resumed.seen.items()
     }
+
+
+def test_watch_file_alone_keeps_loop_alive(ray_session, tmp_path):
+    """A config that sets only follow_seeds_file must still wait on an
+    empty frontier: a line appended after the first idle epoch is
+    popped."""
+    from raycrawl.crawler import CrawlConfig, run_crawl
+
+    web = WebConfig(n_hosts=2, pages_per_host=4)
+    wf = tmp_path / "watch.txt"
+    wf.write_text("")
+    calls = []
+
+    def append_on_second_epoch():
+        calls.append(1)
+        if len(calls) == 2:
+            with open(wf, "a") as f:
+                f.write(page_url(1, 0) + "\n")
+        return False
+
+    stats = run_crawl(
+        CrawlConfig(web=web, out_dir=str(tmp_path / "out"), num_shards=2,
+                    max_epochs=12, follow_seeds_file=str(wf),
+                    collect_parity_outputs=True),
+        [],
+        should_stop=append_on_second_epoch,
+    )
+    assert page_url(1, 0) in {r["url"] for r in stats.fetch_log}
+
+
+def test_follow_offset_persists_blank_lines(ray_session, tmp_path):
+    """Consuming only blank watch-file lines still moves the persisted
+    offset, so a resumed run does not read those bytes again."""
+    import json
+
+    from raycrawl.crawler import CrawlConfig, run_crawl
+
+    web = WebConfig(n_hosts=2, pages_per_host=4)
+    wf = tmp_path / "watch.txt"
+    wf.write_text("\n  \n")
+    out = tmp_path / "out"
+    run_crawl(
+        CrawlConfig(web=web, out_dir=str(out), num_shards=2, max_epochs=3,
+                    follow=True, follow_seeds_file=str(wf)),
+        seed_urls(web, 1),
+    )
+    with open(out / "follow_offset.json") as f:
+        assert json.load(f)["offset"] == 4

@@ -96,6 +96,8 @@ def test_host_pagerank_matches_recompute(crawl):
     got = host_pagerank(out).to_pandas()
     want = dict(zip(hosts, np.round(r, 8)))
     assert dict(zip(got["host"], got["pagerank"])) == want
+    keys = list(zip(-got["pagerank"], got["host"]))
+    assert keys == sorted(keys)  # the SQL's ORDER BY pagerank DESC, host
     assert abs(float(got["pagerank"].sum()) - 1.0) < 1e-9
 
 

@@ -42,7 +42,7 @@ def test_crawl_payload_query_applies_suppression(crawl_out, monkeypatch):
     from raycrawl.crawler import read_payload
 
     out, _ = crawl_out
-    monkeypatch.setitem(crawlq._CRAWL_CACHE, SF, out)
+    monkeypatch.setitem(crawlq._FIXTURE_CACHE, ("main", SF), out)
     got = crawlq.crawl_payload(SF).to_pandas()
     # column pruning: no bytes, no url_hash in the flagship output
     assert "bytes" not in got.columns and "url_hash" not in got.columns

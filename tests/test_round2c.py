@@ -179,12 +179,12 @@ def test_caption_pair_curation_matches_driver_recount(ray_session):
         CAPTION_MIN_TOKENS,
         PAIR_MAX_ASPECT,
         PAIR_MIN_DIM,
-        _crawl_out_dir,
+        fixture_dir,
     )
 
     got = run_query("caption_pair_curation_stats", SF).sort_values("epoch")
     pdf = read_payload(
-        _crawl_out_dir(SF), columns=["epoch", "caption", "w", "h"]
+        fixture_dir("main", SF), columns=["epoch", "caption", "w", "h"]
     ).to_pandas()
     toks = pdf["caption"].str.split().str.len()
     aspect = np.maximum(pdf["w"], pdf["h"]) / np.minimum(pdf["w"], pdf["h"])

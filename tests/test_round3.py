@@ -415,10 +415,10 @@ class TestPayloadDelta:
 def test_crawl_host_fairness_matches_pandas(ray_session):
     from raycrawl.crawler import read_payload
     from raycrawl.ops import REGISTRY
-    from raycrawl.ops.crawlq import _crawl_out_dir
+    from raycrawl.ops.crawlq import fixture_dir
 
     t = REGISTRY["crawl_host_fairness"]["fn"](SF)
-    pay = read_payload(_crawl_out_dir(SF), columns=["url"]).to_pandas()
+    pay = read_payload(fixture_dir("main", SF), columns=["url"]).to_pandas()
     hosts = pay["url"].str.split("://").str[1].str.split("/").str[0]
     counts = hosts.value_counts()
     assert t["n_hosts"][0].as_py() == counts.size

@@ -322,10 +322,10 @@ def test_crawl_tier_feedback_quartiles(ray_session):
     import numpy as np
 
     from raycrawl.crawler import read_payload
-    from raycrawl.ops.crawlq import _crawl_out_dir, crawl_tier_feedback
+    from raycrawl.ops.crawlq import crawl_tier_feedback, fixture_dir
 
     t = crawl_tier_feedback(SF).to_pandas()
-    pay = read_payload(_crawl_out_dir(SF),
+    pay = read_payload(fixture_dir("main", SF),
                        columns=["url", "w", "h"]).to_pandas()
     pay["host"] = pay["url"].str.split("://").str[1].str.split("/").str[0]
     pay["area"] = pay["w"].astype("int64") * pay["h"].astype("int64")

@@ -31,9 +31,9 @@ def test_caption_novelty_matches_sequential_oracle(ray_session):
     growing seen-set of caption trigrams and compare the distributed
     first-epoch fold against it row for row."""
     from raycrawl.crawler import read_payload
-    from raycrawl.ops.crawlq import _crawl_out_dir
+    from raycrawl.ops.crawlq import fixture_dir
 
-    out = _crawl_out_dir(SF)
+    out = fixture_dir("main", SF)
     pay = read_payload(out, columns=["caption", "epoch"]).to_pandas()
 
     def grams(cap):
