@@ -339,7 +339,6 @@ def main(argv: list[str] | None = None) -> int:
                 "metrics": stats.metrics,
                 "phase_seconds": {
                     k: round(v, 3) for k, v in stats.phase_seconds.items()
-                    if not k.startswith("_")
                 },
             }
         )

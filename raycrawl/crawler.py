@@ -10,15 +10,17 @@ rounds, politeness-sleep. Re-expressed Ray-Data-first:
                  politeness-budgeted, frontier-ordered URL batch, exposed
                  as EQUAL-SIZE slices (one Ray Data block each, one block
                  per CPU slot: the epoch runs as a single packed wave of
-                 same-weight fetch tasks, independent of shard count)
-      fetch    — ``map_batches(fetch_batch)`` stateless tasks whose
-                 per-process state is cached across epochs (see
-                 stages/fetch.py — avoids per-epoch actor-pool spin-up)
-      decode+submit — ``map_batches(decode_submit)``: decode + phash each
-                 row, canonicalize outlinks, stream the tiny (digest,
-                 phash, meta, links) tuples to the owning shard actor
-                 (``gate_submit``, idempotent by digest), and emit the
-                 payload row — payload BYTES never cross a shuffle
+                 same-weight fetch tasks — exactly one task per block, all
+                 launched at once — independent of shard count)
+      fetch+decode — one ``map_batches`` UDF per block, in ≤ batch_size
+                 row slices: ``fetch_batch`` (stateless, per-process state
+                 cached across epochs, see stages/fetch.py — avoids
+                 per-epoch actor-pool spin-up), then ``decode_submit``:
+                 decode + phash each row, canonicalize outlinks, stream
+                 the tiny (digest, phash, meta, links) tuples to the
+                 owning shard actor (``gate_submit``, idempotent by
+                 digest), and emit the payload row — payload BYTES never
+                 cross a shuffle
       sink     — the same pipeline streams into
                  ``write_parquet(out/payload/epoch=K)`` → a failed run
                  resumes by epoch directory
@@ -106,23 +108,18 @@ class CrawlConfig:
     # pull per-row fetch logs + exact seen sets back to the driver at the
     # end (oracle-parity testing only — expensive, not part of the job)
     collect_parity_outputs: bool = False
-    # epochs popping ≤ this many rows run as ONE Ray task instead of a Ray
-    # Data pipeline (None = auto: 16 with payload bytes, 96 without — the
-    # crossover where per-row work outgrows the pipeline launch cost)
+    # epochs popping ≤ this many rows run as ONE Ray task over one block
+    # (None = auto: 16 with payload bytes, 96 without — the crossover
+    # where per-row work outgrows the launch of the chunk tasks)
     small_epoch_max_rows: int | None = None
-    # epochs popping ≤ this many rows run as ONE PLAIN RAY TASK PER CHUNK
-    # (same chunks, same parallelism, same per-slice heap bound as the
-    # pipeline) instead of a Ray Data pipeline. None = auto: 256×CPUs with
-    # payload bytes, 2048×CPUs metadata-only — several full waves of
-    # perfectly-packed blocks. Interleaved A/B at sf0.1 (256 hosts,
-    # 192-320 px payloads, 32 cpus) measured the task path 30-45% faster
-    # end-to-end (455-604 vs 314-460 urls/s) because EVERY epoch of that
-    # crawl is launch-dominated: the per-epoch Ray Data spin-up is
-    # ~0.3-0.5 s against ≤0.6 s of useful fetch+decode work. Epochs above
-    # the cap stay on the streaming Dataset pipeline — at that size the
-    # launch is amortized (<1%) and streaming backpressure on the payload
-    # write is worth having; the chunk refs feeding both paths are
-    # identical, so the memory profile does not differ below the cap.
+    # epochs popping ≤ this many rows run as ONE PLAIN RAY TASK PER BLOCK
+    # (same blocks, same parallelism, same per-slice heap bound as the
+    # Ray Data branch); larger epochs run as one streaming Dataset
+    # pipeline. None = auto: 256×CPUs with payload bytes, 2048×CPUs
+    # metadata-only. The Ray Data branch, too, runs an epoch of k blocks
+    # as k tasks in one wave; DESIGN.md §5 has the measured epoch times
+    # per branch. Where the task and Dataset branches cross over is not
+    # measured yet.
     task_epoch_max_rows: int | None = None
     # adaptive TIER-CRAWL feedback: per-host priority boost added to every
     # NEW offer (seeds + discovered links) of that host. Computed between
@@ -223,6 +220,10 @@ class CrawlStats:
     fetch_log: list[dict] = field(default_factory=list)
     seen: dict[int, set[bytes]] = field(default_factory=dict)
     last_pipeline_stats: str = ""  # ds.stats() of the final epoch pipeline
+    # one (epoch, popped rows, branch, blocks, pipeline seconds) entry per
+    # epoch that popped rows; branch is "single_task", "chunk_tasks" or
+    # "dataset"
+    epoch_log: list[tuple] = field(default_factory=list)
     # wall seconds per driver-loop phase, summed over epochs (where the
     # fixed per-epoch cost lives — the scaling-efficiency lever)
     phase_seconds: dict[str, float] = field(default_factory=dict)
@@ -432,13 +433,10 @@ def run_crawl(
     import time as _time
 
     phases = stats.phase_seconds
-    profile = bool(os.environ.get("RAYCRAWL_PROFILE"))
 
     def _mark(key: str, t0: float) -> float:
         t1 = _time.perf_counter()
         phases[key] = phases.get(key, 0.0) + (t1 - t0)
-        if profile:
-            phases.setdefault("_epoch_log", []).append((epoch, key, round(t1 - t0, 3)))
         return t1
 
     epoch = start_epoch
@@ -496,8 +494,6 @@ def run_crawl(
         t = _time.perf_counter()
         counts = ray.get([a.pop.remote(epoch) for a in actors])
         t = _mark("pop", t)
-        if profile:
-            phases["_epoch_log"].append((epoch, "rows", sum(counts)))
         if sum(counts) == 0:
             if sum(ray.get([a.frontier_size.remote() for a in actors])) == 0:
                 # stay alive for a future deliverable injection (follow
@@ -543,78 +539,72 @@ def run_crawl(
             for j in range(p)
         ]
         t = _mark("chunks", t)
-        # per-UDF-call batches stay ≤ cfg.batch_size (bounds synthesis /
-        # decode heap) even when the block itself is larger
-        bsz = min(target, cfg.batch_size)
-        # tail-epoch fast-path threshold: single-task wins while
-        # rows × per-row work < the ~0.2 s pipeline launch (per-row ≈17 ms
-        # with 130 KB payload bytes, ≈1-2 ms metadata-only)
         small_max = cfg.small_epoch_max_rows
         if small_max is None:
             small_max = 16 if keep_bytes else 96
         task_max = cfg.task_epoch_max_rows
         if task_max is None:
             task_max = (256 if keep_bytes else 2048) * ncpu
-        if total <= small_max:
-            # one block → one task (tail-epoch fast path, no pipeline launch)
-            ray.get(
-                _small_epoch_task.remote(
-                    cfg.web, actors, epoch, keep_bytes, bsz,
-                    os.path.join(payload_dir, f"epoch={epoch}"), *refs,
-                    host_boost=cfg.host_priority_boost,
-                    focus_keywords=cfg.focus_keywords,
-                    etag_enabled=etag_enabled,
-                )
-            )
-            t = _mark("pipeline", t)
-            stats.last_pipeline_stats = (
-                f"(epoch {epoch}: small-epoch fast path, {total} rows, "
-                "no Ray Data pipeline)"
-            )
-        elif total <= task_max:
-            # launch-dominated epoch: the SAME equal-slice chunks the
-            # pipeline would stream, submitted as one plain Ray task each
-            # (~ms of launch each vs the ~0.2-0.5 s Ray Data pipeline
-            # spin-up). Semantics identical to the single-task path —
-            # every task ray.gets its gate_submits before returning, so
-            # gate_finalize still sees every offer; payload files carry a
-            # per-chunk part base so writers never collide.
+        out_uri = os.path.join(payload_dir, f"epoch={epoch}")
+        t_launch = t
+        if total <= task_max:
+            # one plain Ray task per block (~ms of launch each), a tail
+            # epoch as ONE block. Every task ray.gets its gate_submits
+            # before returning, so gate_finalize still sees every offer;
+            # a per-block part base keeps the payload writers apart.
+            if total <= small_max:
+                branch, blocks = "single_task", [refs]
+            else:
+                branch, blocks = "chunk_tasks", [[r] for r in refs]
             ray.get([
                 _small_epoch_task.remote(
-                    cfg.web, actors, epoch, keep_bytes, bsz,
-                    os.path.join(payload_dir, f"epoch={epoch}"),
-                    ref, part_base=j * 100_000,
+                    cfg.web, actors, epoch, keep_bytes, cfg.batch_size,
+                    out_uri, *blk, part_base=j * 100_000,
                     host_boost=cfg.host_priority_boost,
                     focus_keywords=cfg.focus_keywords,
                     etag_enabled=etag_enabled,
                 )
-                for j, ref in enumerate(refs)
+                for j, blk in enumerate(blocks)
             ])
             t = _mark("pipeline", t)
             stats.last_pipeline_stats = (
-                f"(epoch {epoch}: task fast path, {total} rows in "
-                f"{len(refs)} chunk tasks, no Ray Data pipeline)"
+                f"(epoch {epoch}: {total} rows in {len(blocks)} plain "
+                "task(s), no Ray Data pipeline)"
             )
         else:
+            branch, blocks = "dataset", refs
             ds = ray.data.from_arrow_refs(refs)
+            # One task per block, all launched at once. batch_size=None
+            # stops Ray Data from bundling a block smaller than the batch
+            # into its neighbour; the UDF slices to ≤ batch_size rows
+            # itself. Until a task finishes, Ray Data sizes each task's
+            # pending output as target_max_block_size (128 MiB default)
+            # per generator-buffer slot, which in a small object store
+            # admits one task at a time. The UDF's output blocks are
+            # single slices, whose raw pixels bound their bytes, so that
+            # is the size given — on this dataset's own context copy, so
+            # the global DataContext the query ops share is untouched.
+            block_rows = max(-(-c // p) for c, p in zip(counts, parts) if p)
+            row_bytes = 1024 + (3 * cfg.web.max_dim ** 2 if keep_bytes else 0)
+            ds.context.target_max_block_size = (
+                min(block_rows, cfg.batch_size) * row_bytes)
             pipeline = ds.map_batches(
-                fetch_batch,
-                fn_kwargs={"web_cfg": cfg.web},
+                _make_fetch_decode(
+                    cfg.web, cfg.batch_size,
+                    _make_decode_submit(actors, epoch, keep_bytes,
+                                        cfg.host_priority_boost,
+                                        cfg.focus_keywords, etag_enabled),
+                ),
                 batch_format="pyarrow",
-                batch_size=bsz,
-            ).map_batches(
-                _make_decode_submit(actors, epoch, keep_bytes,
-                                    cfg.host_priority_boost,
-                                    cfg.focus_keywords, etag_enabled),
-                batch_format="pyarrow",
-                batch_size=bsz,
+                batch_size=None,
             )
             # payload sink: Lance when present, parquet fallback
-            lancelike.write_ray_dataset(
-                pipeline, os.path.join(payload_dir, f"epoch={epoch}")
-            )
+            lancelike.write_ray_dataset(pipeline, out_uri)
             t = _mark("pipeline", t)
             stats.last_pipeline_stats = pipeline.stats()
+        stats.epoch_log.append(
+            (epoch, total, branch, len(blocks), t - t_launch)
+        )
         t = _mark("stats", t)
 
         # ordered phash gate + frontier merge (meta only; offers routed as
@@ -882,32 +872,50 @@ def _make_decode_submit(actors, epoch: int, keep_bytes: bool,
     return decode_submit
 
 
+def _slices(tbl: pa.Table, max_rows: int) -> list[pa.Table]:
+    """``tbl`` cut into ceil(rows / max_rows) slices of near-equal size,
+    none over ``max_rows``: a 17-row block under a 16-row cap runs as 9 + 8
+    rows, not as 16 rows plus a 1-row fetch/decode/write round."""
+    n = tbl.num_rows
+    k = -(-n // max_rows)
+    cuts = [n * j // k for j in range(k + 1)] if k else []
+    return [tbl.slice(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _make_fetch_decode(web_cfg, max_rows: int, decode):
+    """Fetch → decode/gate-submit over one block, one ≤ ``max_rows``-row
+    slice per call, yielding each slice's payload rows: at no point does
+    more than one slice's fetched bytes sit in the heap."""
+
+    def fetch_decode(tbl: pa.Table):
+        for sl in _slices(tbl, max_rows):
+            yield decode(fetch_batch(sl, web_cfg=web_cfg))
+
+    return fetch_decode
+
+
 @ray.remote(num_cpus=1)
 def _small_epoch_task(web_cfg, actors, epoch, keep_bytes, batch_size,
                       out_uri, *tables, part_base: int = 0,
                       host_boost: dict | None = None,
                       focus_keywords: tuple[str, ...] | None = None,
                       etag_enabled: bool = False):
-    """Tail-epoch fast path: a popped set that fits ONE block runs fetch →
-    decode/gate-submit → payload write inside a single Ray task, skipping
-    the per-epoch Ray Data pipeline launch (~0.15-0.4 s) that dominates
-    near-empty epochs at every cluster size. Semantics are identical:
-    ``decode_submit`` ray.gets its gate_submit calls, so the shard actors
-    have every offer before the driver's gate_finalize — exactly the
-    ordering the pipeline path guarantees by completing. The per-UDF-call
-    ``batch_size`` heap bound still applies: a raised
-    ``small_epoch_max_rows`` is processed AND WRITTEN in batch_size slices
-    — at no point does more than one slice's payload sit in this task's
-    heap."""
+    """One block of an epoch as one plain Ray task: fetch →
+    decode/gate-submit → payload write, with no Ray Data executor. The
+    crawler runs a tail epoch as one such task and a mid-size epoch as one
+    per block. Semantics match the Ray Data branch: ``decode_submit``
+    ray.gets its gate_submit calls, so the shard actors have every offer
+    before the driver's gate_finalize. The block is processed AND WRITTEN
+    in ≤ ``batch_size``-row slices, ceil(rows / batch_size) payload parts
+    from ``part_base`` on."""
     tbl = pa.concat_tables([t for t in tables if t.num_rows])
     decode = _make_decode_submit(actors, epoch, keep_bytes, host_boost,
                                  focus_keywords, etag_enabled)
     written = 0
-    for part, off in enumerate(range(0, tbl.num_rows, batch_size)):
-        out = decode(fetch_batch(tbl.slice(off, batch_size), web_cfg=web_cfg))
-        # part_base namespaces the k-chunk-task path's writers (parquet
-        # filenames; the Lance backend would need concurrent-append
-        # handling — noted env-gated in io/lancelike.py)
+    for part, out in enumerate(
+            _make_fetch_decode(web_cfg, batch_size, decode)(tbl)):
+        # the Lance backend would need concurrent-append handling for
+        # several tasks per epoch — noted env-gated in io/lancelike.py
         lancelike.write_table_flat(out, out_uri, part=part_base + part)
         written += out.num_rows
     return written
@@ -928,8 +936,8 @@ def _checkpoint_all(actors, ckpt_dir: str, epoch: int, dedup_actors=None,
         with open(os.path.join(d, "driver_manifest.json"), "w") as f:
             json.dump(
                 {"epoch": epoch,
-                 "phase_seconds": {k: round(v, 3) for k, v in phases.items()
-                                   if not k.startswith("_")}},
+                 "phase_seconds": {k: round(v, 3)
+                                   for k, v in phases.items()}},
                 f,
             )
     with open(os.path.join(d, "COMPLETE"), "w") as f:

@@ -1,6 +1,6 @@
 """Edge-path regression tests from the round-2 self-review: zero-variance
-z-score groups (Ray and SQL must agree on NULL), and small-epoch
-fast-path vs pipeline-path crawl equivalence."""
+z-score groups (Ray and SQL must agree on NULL), and the crawl's three
+epoch execution branches (oracle parity, wave shape, slice sizing)."""
 
 import os
 
@@ -9,6 +9,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 
 def test_zscore_constant_group_yields_null_on_both_sides(
@@ -52,41 +53,126 @@ def test_zscore_constant_group_yields_null_on_both_sides(
     )
 
 
-def test_fast_path_crawl_equals_pipeline_path(ray_session, tmp_path):
-    """Forcing EVERY epoch through the single-task fast path must produce
-    the identical fetch log, seen set and payload as forcing every epoch
-    through the Ray Data pipeline."""
+# epoch-branch thresholds that send every epoch down one branch
+BRANCHES = {
+    "single_task": {"small_epoch_max_rows": 1 << 30},
+    "chunk_tasks": {"small_epoch_max_rows": 0},
+    "dataset": {"small_epoch_max_rows": 0, "task_epoch_max_rows": 0},
+}
+BRANCH_WEB = dict(n_hosts=5, pages_per_host=12)
+
+
+@pytest.fixture(scope="module")
+def branch_oracle():
+    from raycrawl.core.webgraph import WebConfig, seed_urls
+    from raycrawl.oracle import oracle_crawl
+
+    web = WebConfig(**BRANCH_WEB)
+    return oracle_crawl(web, seed_urls(web), max_epochs=40, num_shards=3)
+
+
+@pytest.mark.parametrize("branch", list(BRANCHES))
+def test_fast_path_crawl_equals_pipeline_path(ray_session, tmp_path,
+                                              branch_oracle, branch):
+    """Every epoch forced through one execution branch (single task,
+    chunk tasks, Ray Data pipeline) gives the oracle's fetch log, seen set
+    and payload — so all three branches give identical ones."""
     from raycrawl.core.webgraph import WebConfig, seed_urls
     from raycrawl.crawler import (
         CrawlConfig, _log_sorted, read_payload, run_crawl,
     )
 
-    web = WebConfig(n_hosts=5, pages_per_host=12)
+    web = WebConfig(**BRANCH_WEB)
+    out = str(tmp_path / branch)
+    cfg = CrawlConfig(web=web, out_dir=out, num_shards=3, max_epochs=40,
+                      collect_parity_outputs=True, **BRANCHES[branch])
+    st = run_crawl(cfg, seed_urls(web))
+    assert {e[2] for e in st.epoch_log} == {branch}
+    if branch != "dataset":
+        # every block here is under batch_size: one slice, one part each
+        for epoch, _, _, blocks, _ in st.epoch_log:
+            assert len(os.listdir(
+                os.path.join(out, "payload", f"epoch={epoch}"))) == blocks
 
-    def crawl(out, small_max):
-        cfg = CrawlConfig(
-            web=web, out_dir=out, num_shards=3, max_epochs=40,
-            collect_parity_outputs=True, small_epoch_max_rows=small_max,
-        )
-        st = run_crawl(cfg, seed_urls(web))
-        payload = (
-            read_payload(out, columns=["image_id", "caption", "url_hash"])
-            .to_pandas()
-            .sort_values("image_id")
-            .reset_index(drop=True)
-        )
-        return _log_sorted(list(st.fetch_log)), st.seen, payload
+    assert _log_sorted(list(st.fetch_log)) == _log_sorted(
+        list(branch_oracle.fetch_log))
+    assert st.seen == branch_oracle.seen
+    payload = read_payload(out, columns=["image_id", "caption", "phash"])
+    got = {r["image_id"]: (r["caption"], r["phash"])
+           for r in payload.iter_rows()}
+    want = {p["image_id"]: (p["caption"], p["phash"])
+            for p in branch_oracle.payload}
+    assert got == want
 
-    log_pipe, seen_pipe, pay_pipe = crawl(
-        str(tmp_path / "pipe"), small_max=0
-    )  # never fast-path
-    log_fast, seen_fast, pay_fast = crawl(
-        str(tmp_path / "fast"), small_max=1 << 30
-    )  # always fast-path
 
-    assert log_pipe == log_fast
-    assert seen_pipe == seen_fast
-    pd.testing.assert_frame_equal(pay_pipe, pay_fast)
+def test_dataset_epoch_runs_one_task_per_block(ray_session, tmp_path):
+    """A Ray Data epoch of k blocks runs exactly k fused fetch→write
+    tasks (no block bundled into a neighbour), and its block-size
+    estimate stays on the epoch's own dataset context."""
+    import re
+
+    import ray.data
+
+    from raycrawl.core.webgraph import WebConfig, seed_urls
+    from raycrawl.crawler import CrawlConfig, run_crawl
+
+    web = WebConfig(n_hosts=12, pages_per_host=6)
+    cfg = CrawlConfig(web=web, out_dir=str(tmp_path / "out"), num_shards=3,
+                      max_epochs=3, **BRANCHES["dataset"])
+    before = ray.data.DataContext.get_current().target_max_block_size
+    st = run_crawl(cfg, seed_urls(web))
+    assert ray.data.DataContext.get_current().target_max_block_size == before
+
+    epoch, rows, branch, blocks, _ = st.epoch_log[-1]
+    assert branch == "dataset" and blocks > 1
+    tasks = re.findall(r"Operator \d+ [^:]*Write[^:]*: (\d+) tasks executed",
+                       st.last_pipeline_stats)
+    assert tasks == [str(blocks)], st.last_pipeline_stats
+
+
+@pytest.mark.parametrize("batch_size", [1, 4, 8, 16, 17, 128])
+def test_chunk_task_writes_one_part_per_slice(ray_session, tmp_path,
+                                              batch_size):
+    """A block of n rows is fetched, decoded and written in
+    ceil(n / batch_size) slices of near-equal size — no 1-row tail round
+    when n is one more than a multiple of the slice size."""
+    import ray
+
+    from raycrawl.core.webgraph import WebConfig, seed_urls
+    from raycrawl.crawler import (
+        CrawlConfig, _seed_tables, _small_epoch_task, make_shard_actors,
+    )
+
+    web = WebConfig(n_hosts=17, pages_per_host=2)
+    cfg = CrawlConfig(web=web, out_dir=str(tmp_path / "out"), num_shards=1)
+    (actor,) = make_shard_actors(cfg)
+    rows = _seed_tables(cfg, seed_urls(web))[0]
+    ray.get(actor.offer.remote(-1, *map(list, zip(*rows)), 0))
+    n = ray.get(actor.pop.remote(0))
+    assert n == 17
+    out = str(tmp_path / "payload")
+    ray.get(_small_epoch_task.remote(
+        web, [actor], 0, True, batch_size, out,
+        actor.take_popped_part.remote(0, 1), part_base=200_000))
+    files = sorted(os.listdir(out))
+    k = -(-n // batch_size)
+    assert files == [f"part-{200_000 + j}.parquet" for j in range(k)]
+    ray.kill(actor)
+
+
+def test_slices_are_near_equal_and_capped():
+    from raycrawl.crawler import _slices
+
+    for n in range(40):
+        tbl = pa.table({"i": list(range(n))})
+        for cap in range(1, 20):
+            parts = _slices(tbl, cap)
+            sizes = [p.num_rows for p in parts]
+            assert len(parts) == -(-n // cap)
+            assert all(0 < s <= cap for s in sizes)
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1
+            assert pa.concat_tables(parts or [tbl]).column("i").to_pylist() \
+                == list(range(n))
 
 
 def test_round_half_away_matches_duckdb_round():
