@@ -35,6 +35,15 @@ rounds, politeness-sleep. Re-expressed Ray-Data-first:
       checkpoint every ``saving_period`` epochs — Lance-style epoch dirs
                  (parquet fallback) with per-partition lineage manifests.
 
+Control-plane lifecycle: the shard actors outlive one crawl. Each new actor
+starts a Python worker process, and four of them take 1.2–1.35 s to answer
+on a 4-vCPU host — a third of a 192-page crawl. So ``run_crawl`` takes
+its frontier (and global dedup) shard actors from a per-Ray-session pool
+(``_ActorPool``), resets each in place with ``open`` (fresh state, or the
+checkpoint restore of ``resume=True``), and gives them back when it
+returns. A crawl that raises kills its actors instead, so a half-run
+actor is never reused. Only zero-CPU actors are pooled.
+
 The epoch working set is bounded by the politeness budget
 (Σ_host burst); the payload stream never materializes on the driver — it
 flows block-by-block into partitioned parquet. Gate/offer traffic is meta
@@ -51,6 +60,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import threading
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -83,7 +93,10 @@ class CrawlConfig:
     saving_period: int = 10
     expected_urls: int = 1 << 14
     batch_size: int = 128  # max rows per UDF batch (blocks may be larger)
-    shard_num_cpus: float = 0.0  # control-plane actors: no CPU reservation
+    # CPUs each control-plane actor reserves. 0: none, and the actors go
+    # back to the session's actor pool for the next crawl to reuse; > 0:
+    # the actors are killed when the crawl ends, so no idle actor holds CPU
+    shard_num_cpus: float = 0.0
     keep_bytes_in_payload: bool = True
     burst: float = 8.0  # politeness burst (tokens) per host
     # Ray Data blocks per CPU slot per epoch: 1 = one perfectly-packed
@@ -262,65 +275,194 @@ def control_plane_remote(cls, num_cpus: float):
     return ray.remote(num_cpus=num_cpus, scheduling_strategy="SPREAD")(cls)
 
 
-def make_shard_actors(cfg: CrawlConfig, restore_epoch: int | None = None):
+def _shard_specs(cfg: CrawlConfig, restore_epoch: int | None) -> list[tuple]:
+    """One ``open(restore, args, kwargs)`` argument tuple per frontier
+    shard: a fresh shard, or shard ``s`` restored from ``restore_epoch``'s
+    checkpoint with the run's own config."""
     ckpt = os.path.join(cfg.out_dir, "checkpoints")
+
     def spill_dir(s):
         if cfg.frontier_spill_threshold is None:
             return None
         return os.path.join(cfg.out_dir, "spill", f"shard={s}")
 
+    kw = {"rich_robots": cfg.rich_robots}
     if restore_epoch is None:
-        Actor = control_plane_remote(FrontierShard, cfg.shard_num_cpus)
         return [
-            Actor.remote(s, cfg.epoch_seconds, cfg.expected_urls, cfg.phash_radius,
-                         cfg.burst, cfg.keep_fetch_log,
-                         cfg.frontier_spill_threshold, spill_dir(s),
-                         cfg.trap_filter, cfg.epoch_pop_budget,
-                         cfg.max_pages_per_host, cfg.error_backoff,
-                         cfg.max_depth, cfg.link_log,
-                         rich_robots=cfg.rich_robots)
+            (False, (s, cfg.epoch_seconds, cfg.expected_urls,
+                     cfg.phash_radius, cfg.burst, cfg.keep_fetch_log,
+                     cfg.frontier_spill_threshold, spill_dir(s),
+                     cfg.trap_filter, cfg.epoch_pop_budget,
+                     cfg.max_pages_per_host, cfg.error_backoff,
+                     cfg.max_depth, cfg.link_log), kw)
             for s in range(cfg.num_shards)
         ]
-    # restore runs inside each actor process so state is read once, in place
-    RestActor = control_plane_remote(_RestoredShard, cfg.shard_num_cpus)
     return [
-        RestActor.remote(ckpt, restore_epoch, s, cfg.expected_urls,
-                         cfg.phash_radius, cfg.frontier_spill_threshold,
-                         spill_dir(s), cfg.epoch_pop_budget,
-                         cfg.max_pages_per_host, cfg.error_backoff,
-                         cfg.max_depth, cfg.link_log,
-                         rich_robots=cfg.rich_robots)
+        (True, (ckpt, restore_epoch, s, cfg.expected_urls, cfg.phash_radius,
+                cfg.frontier_spill_threshold, spill_dir(s),
+                cfg.epoch_pop_budget, cfg.max_pages_per_host,
+                cfg.error_backoff, cfg.max_depth, cfg.link_log), kw)
         for s in range(cfg.num_shards)
     ]
 
 
-class _RestoredPhashShard(PhashDedupShard):
-    def __init__(self, ckpt_dir, epoch, shard_id, num_shards, radius):
-        restored = PhashDedupShard.restore(ckpt_dir, epoch, shard_id, num_shards, radius)
-        self.__dict__.update(restored.__dict__)
+def _dedup_specs(cfg: CrawlConfig, restore_epoch: int | None) -> list[tuple]:
+    """The ``open`` argument tuples of the global phash dedup shards."""
+    ckpt = os.path.join(cfg.out_dir, "checkpoints")
+    n, r = cfg.num_phash_shards, cfg.phash_radius
+    if restore_epoch is None:
+        return [(False, (d, n, r), {}) for d in range(n)]
+    return [(True, (ckpt, restore_epoch, d, n, r), {}) for d in range(n)]
 
 
-class _RestoredShard(FrontierShard):
-    def __init__(self, ckpt_dir, epoch, shard_id, expected_urls, phash_radius,
-                 spill_threshold=None, spill_dir=None, pop_budget=None,
-                 host_quota=None, error_backoff=False, max_depth=None,
-                 link_log=False, rich_robots=False):
-        restored = FrontierShard.restore(
-            ckpt_dir, epoch, shard_id, expected_urls, phash_radius,
-            spill_threshold, spill_dir,
-        )
-        self.__dict__.update(restored.__dict__)
-        self.pop_budget = pop_budget  # config, not state — follows the run
-        if host_quota is not None:  # quota follows the run; counts persist
-            self.host_quota = host_quota
-        # backoff flag follows the run; the error streaks persist
-        self.error_backoff = error_backoff
-        self.max_depth = max_depth  # config, not state — follows the run
-        self.link_log = link_log
-        self._link_rows = {}
-        # rule richness follows the run for hosts not yet consulted;
-        # already-cached per-host rules are state and were restored
-        self.robots.rich = rich_robots
+def make_shard_actors(cfg: CrawlConfig, restore_epoch: int | None = None):
+    """``cfg.num_shards`` frontier shard actors, fresh or restored from
+    ``restore_epoch``'s checkpoint, taken from the session's actor pool."""
+    return _open_actors(cfg.shard_num_cpus,
+                        [(_PooledShard, _shard_specs(cfg, restore_epoch))])[0]
+
+
+def _restored_shard(ckpt_dir, epoch, shard_id, expected_urls, phash_radius,
+                    spill_threshold=None, spill_dir=None, pop_budget=None,
+                    host_quota=None, error_backoff=False, max_depth=None,
+                    link_log=False, rich_robots=False) -> FrontierShard:
+    """A frontier shard restored from its checkpoint, with the run's
+    config applied over the checkpointed one."""
+    sh = FrontierShard.restore(ckpt_dir, epoch, shard_id, expected_urls,
+                               phash_radius, spill_threshold, spill_dir)
+    sh.pop_budget = pop_budget  # config, not state — follows the run
+    if host_quota is not None:  # quota follows the run; counts persist
+        sh.host_quota = host_quota
+    # backoff flag follows the run; the error streaks persist
+    sh.error_backoff = error_backoff
+    sh.max_depth = max_depth  # config, not state — follows the run
+    sh.link_log = link_log
+    sh._link_rows = {}
+    # rule richness follows the run for hosts not yet consulted;
+    # already-cached per-host rules are state and were restored
+    sh.robots.rich = rich_robots
+    return sh
+
+
+class _Reopenable:
+    """A control-plane actor that outlives one crawl. It starts empty;
+    ``open`` gives it one crawl's state, from the class constructor or
+    from a checkpoint (read inside the actor process, once, in place), and
+    ``close`` drops that state while the actor waits in ``_ActorPool``."""
+
+    def __init__(self):
+        pass  # a crawl's state arrives with open()
+
+    def open(self, restore: bool, args: tuple, kwargs: dict) -> None:
+        self.__dict__.clear()
+        if restore:
+            self.__dict__.update(self._restore(*args, **kwargs).__dict__)
+        else:
+            super().__init__(*args, **kwargs)
+
+    def close(self) -> None:
+        self.__dict__.clear()
+
+
+class _PooledShard(_Reopenable, FrontierShard):
+    _restore = staticmethod(_restored_shard)
+
+
+class _PooledPhashShard(_Reopenable, PhashDedupShard):
+    _restore = staticmethod(PhashDedupShard.restore)
+
+
+class _ActorPool:
+    """Idle control-plane actors of the current Ray session, by class.
+
+    Every new actor starts its own Python worker process — about 1.2 s
+    before four of them answer on a 4-vCPU host, more than a small crawl's
+    epochs take. So ``run_crawl`` takes its shard actors from here, resets
+    them in place (``open``), and gives them back when it returns. Only
+    zero-CPU actors are kept, so an idle one reserves nothing; actors
+    with ``shard_num_cpus > 0`` are killed at close. After
+    ``ray.shutdown()`` / ``ray.init()`` the handles name actors that no
+    longer exist, so the pool is keyed by the session (job and driver
+    node) and dropped when it changes. The lock makes ``take`` hand each
+    idle actor to one crawl only."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._session = None
+        self._idle: dict[type, list] = {}
+
+    def _current(self) -> dict[type, list]:
+        # caller holds the lock; with Ray down, every old handle is stale
+        session = None
+        if ray.is_initialized():
+            ctx = ray.get_runtime_context()
+            session = (ctx.get_job_id(), ctx.get_node_id())
+        if session != self._session:
+            self._session, self._idle = session, {}
+        return self._idle
+
+    def take(self, cls, num_cpus: float, n: int) -> list:
+        got = []
+        if num_cpus == 0:
+            with self._lock:
+                idle = self._current().setdefault(cls, [])
+                while idle and len(got) < n:
+                    got.append(idle.pop())
+        new = control_plane_remote(cls, num_cpus)
+        return got + [new.remote() for _ in range(n - len(got))]
+
+    def give(self, num_cpus: float, groups: list[tuple[type, list]]) -> None:
+        """Return a finished crawl's actors: pooled with their state
+        dropped, or killed if they reserve CPU."""
+        if num_cpus:
+            _kill(h for _, hs in groups for h in hs)
+            return
+        for _, hs in groups:
+            for h in hs:
+                h.close.remote()
+        with self._lock:
+            idle = self._current()
+            for cls, hs in groups:
+                idle.setdefault(cls, []).extend(hs)
+
+    def idle(self) -> dict[type, list]:
+        """A copy of the idle handles by class (current session)."""
+        with self._lock:
+            return {c: list(hs) for c, hs in self._current().items()}
+
+
+_POOL = _ActorPool()
+
+
+def _kill(handles) -> None:
+    for h in handles:
+        ray.kill(h)
+
+
+def _open_actors(num_cpus: float, groups: list[tuple[type, list[tuple]]]):
+    """Take one pooled actor per ``open`` spec of every (class, specs)
+    group and open them all with one ``ray.get``. An actor that died while
+    idle (its ``open`` raises ``RayActorError``) is replaced by a new one.
+    On any other failure every actor taken is killed before the error
+    propagates. Returns the handle lists, one per group."""
+    handles = [_POOL.take(cls, num_cpus, len(specs)) for cls, specs in groups]
+    try:
+        refs = [[h.open.remote(*spec) for h, spec in zip(hs, specs)]
+                for hs, (_, specs) in zip(handles, groups)]
+        try:
+            ray.get([r for rs in refs for r in rs])
+        except ray.exceptions.RayActorError:
+            for hs, rs, (cls, specs) in zip(handles, refs, groups):
+                for i, r in enumerate(rs):
+                    try:
+                        ray.get(r)
+                    except ray.exceptions.RayActorError:
+                        hs[i] = control_plane_remote(cls, num_cpus).remote()
+                        ray.get(hs[i].open.remote(*specs[i]))
+    except BaseException:
+        _kill(h for hs in handles for h in hs)
+        raise
+    return handles
 
 
 def latest_checkpoint_epoch(out_dir: str) -> int | None:
@@ -353,32 +495,62 @@ def run_crawl(
     sets ``kill_now`` and flushes buffers, ``PreprocessDump.py:367-373``).
     On stop the driver checkpoints all shards and returns; a later
     ``resume=True`` run continues exactly where it left off.
+
+    The shard and dedup actors come from the session's ``_ActorPool`` and
+    go back to it when the crawl returns. If the crawl raises they are
+    killed instead.
     """
+    start_epoch = _prepare_out_dir(cfg, resume)
+    restore_epoch = start_epoch - 1 if start_epoch else None
+    groups = [(_PooledShard, _shard_specs(cfg, restore_epoch))]
+    if cfg.global_phash_dedup:
+        groups.append((_PooledPhashShard, _dedup_specs(cfg, restore_epoch)))
+    handles = _open_actors(cfg.shard_num_cpus, groups)
+    try:
+        stats = _crawl(cfg, seeds, start_epoch, should_stop, handles[0],
+                       handles[1] if cfg.global_phash_dedup else None)
+    except BaseException:
+        # a half-run actor is never reused
+        _kill(h for hs in handles for h in hs)
+        raise
+    _POOL.give(cfg.shard_num_cpus,
+               [(cls, hs) for (cls, _), hs in zip(groups, handles)])
+    return stats
+
+
+def _prepare_out_dir(cfg: CrawlConfig, resume: bool) -> int:
+    """Ready ``cfg.out_dir`` for a crawl and return its first epoch: 0 for
+    a fresh crawl (the directory is wiped), else the epoch after the
+    latest complete checkpoint, with every later payload and sidecar epoch
+    deleted (they may be partial)."""
     payload_dir = os.path.join(cfg.out_dir, "payload")
-    ckpt_dir = os.path.join(cfg.out_dir, "checkpoints")
-    start_epoch = 0
-    if resume:
-        last = latest_checkpoint_epoch(cfg.out_dir)
-        if last is None:
-            resume = False
-        else:
-            start_epoch = last + 1
-            if os.path.isdir(payload_dir):
-                for d in os.listdir(payload_dir):
-                    if d.startswith("epoch=") and int(d.split("=")[1]) >= start_epoch:
-                        shutil.rmtree(os.path.join(payload_dir, d))
-            for side in (*SIDECARS, "links"):
-                sd = os.path.join(cfg.out_dir, side)
-                if os.path.isdir(sd):
-                    for f in os.listdir(sd):
-                        if f.startswith("epoch=") and int(f.split("=")[1].split(".")[0]) >= start_epoch:
-                            os.remove(os.path.join(sd, f))
-    if not resume:
+    last = latest_checkpoint_epoch(cfg.out_dir) if resume else None
+    if last is None:
         if os.path.isdir(cfg.out_dir):
             shutil.rmtree(cfg.out_dir)
         os.makedirs(payload_dir, exist_ok=True)
+        return 0
+    start_epoch = last + 1
+    if os.path.isdir(payload_dir):
+        for d in os.listdir(payload_dir):
+            if d.startswith("epoch=") and int(d.split("=")[1]) >= start_epoch:
+                shutil.rmtree(os.path.join(payload_dir, d))
+    for side in (*SIDECARS, "links"):
+        sd = os.path.join(cfg.out_dir, side)
+        if os.path.isdir(sd):
+            for f in os.listdir(sd):
+                if f.startswith("epoch=") and int(f.split("=")[1].split(".")[0]) >= start_epoch:
+                    os.remove(os.path.join(sd, f))
+    return start_epoch
 
-    actors = make_shard_actors(cfg, restore_epoch=(start_epoch - 1) if resume else None)
+
+def _crawl(cfg: CrawlConfig, seeds: list[str], start_epoch: int,
+           should_stop, actors: list, dedup_actors: list | None) -> CrawlStats:
+    """The crawl itself on opened actors: seeding (or the resumed state),
+    the epoch loop, the closing flush and checkpoint, and the stats."""
+    resume = start_epoch > 0
+    payload_dir = os.path.join(cfg.out_dir, "payload")
+    ckpt_dir = os.path.join(cfg.out_dir, "checkpoints")
     etag_enabled = cfg.etag_manifest_dir is not None
     if etag_enabled:
         # generation breadcrumb: a LATER generation crawling against THIS
@@ -393,34 +565,16 @@ def run_crawl(
                      os.path.abspath(cfg.etag_manifest_dir)}, f,
                 )
         _load_etag_manifest(cfg.etag_manifest_dir, actors, cfg.num_shards)
-    dedup_actors = None
-    if cfg.global_phash_dedup:
-        DedupActor = control_plane_remote(PhashDedupShard, cfg.shard_num_cpus)
-        if resume:
-            RestDedup = control_plane_remote(_RestoredPhashShard, cfg.shard_num_cpus)
-            dedup_actors = [
-                RestDedup.remote(ckpt_dir, start_epoch - 1, d,
-                                 cfg.num_phash_shards, cfg.phash_radius)
-                for d in range(cfg.num_phash_shards)
-            ]
-        else:
-            dedup_actors = [
-                DedupActor.remote(d, cfg.num_phash_shards, cfg.phash_radius)
-                for d in range(cfg.num_phash_shards)
-            ]
     if not resume:
-        for sh, rows in _seed_tables(cfg, seeds).items():
-            ray.get(
-                actors[sh].offer.remote(
-                    -1,
-                    [r[0] for r in rows],
-                    [r[1] for r in rows],
-                    [r[2] for r in rows],
-                    [r[3] for r in rows],
-                    [r[4] for r in rows],
-                    0,
-                )
+        ray.get([
+            actors[sh].offer.remote(
+                -1,
+                [r[0] for r in rows], [r[1] for r in rows],
+                [r[2] for r in rows], [r[3] for r in rows],
+                [r[4] for r in rows], 0,
             )
+            for sh, rows in _seed_tables(cfg, seeds).items()
+        ])
 
     stats = CrawlStats(out_dir=cfg.out_dir)
     num_shards = cfg.num_shards
@@ -725,11 +879,6 @@ def run_crawl(
         stats.seen = {
             s: set(ray.get(a.get_seen.remote())) for s, a in enumerate(actors)
         }
-    for a in actors:
-        ray.kill(a)
-    if dedup_actors is not None:
-        for d in dedup_actors:
-            ray.kill(d)
     return stats
 
 

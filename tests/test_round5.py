@@ -13,14 +13,15 @@ def test_control_plane_actors_spread(ray_session):
     zero-CPU actors otherwise pack onto the head node on a real cluster,
     serializing all offer/pop traffic through one machine (round-4 judge
     item #3). Checked on the decorated class options for all four actor
-    classes so a refactor can't silently drop the hint."""
-    from raycrawl.crawler import (_RestoredPhashShard, _RestoredShard,
+    classes so a refactor can't silently drop the hint: the plain shard
+    classes and the pooled ones ``run_crawl`` starts."""
+    from raycrawl.crawler import (_PooledPhashShard, _PooledShard,
                                   control_plane_remote)
     from raycrawl.frontier.phash_shard import PhashDedupShard
     from raycrawl.frontier.shard import FrontierShard
 
-    for cls in (FrontierShard, _RestoredShard, PhashDedupShard,
-                _RestoredPhashShard):
+    for cls in (FrontierShard, _PooledShard, PhashDedupShard,
+                _PooledPhashShard):
         opts = control_plane_remote(cls, 0.0)._default_options
         assert opts.get("scheduling_strategy") == "SPREAD", cls
         assert opts.get("num_cpus") == 0.0, cls
