@@ -35,8 +35,9 @@ SMALL_COMBINE_ROWS = 2_000_000
 def combine_small(partials: ray.data.Dataset, combine_fn) -> pa.Table:
     """Final combine for a BOUNDED map-side partial-aggregate stream.
 
-    Ray Data's groupby is a sort-based all-to-all exchange with a ~2-4 s
-    fixed cost on this node — pure overhead when the map-side combiner has
+    Ray Data's groupby is a sort-based all-to-all exchange with a fixed
+    cost of 0.3–0.5 s per Sort exchange (measured on a 4-vCPU VM, Ray
+    declared 4 CPUs) — pure overhead when the map-side combiner has
     already collapsed the stream to ≲2M tiny rows. This helper instead
     pulls the partial blocks zero-copy off the object store
     (``to_arrow_refs``: the map_batches tasks still ran distributed; only
@@ -193,6 +194,12 @@ def group_buckets(approx_rows: int | None = None) -> int:
     return k
 
 
+# Partial-row bound of bucketed_group_agg's one-task combine: a partial
+# stream of at most this many rows is combined by ONE task instead of a
+# Sort exchange over buckets (crossover sweep: DESIGN.md §2b).
+ONE_TASK_COMBINE_ROWS = BUCKET_TARGET_ROWS
+
+
 def bucketed_group_agg(
     ds: ray.data.Dataset,
     key_cols: list[str],
@@ -212,17 +219,36 @@ def bucketed_group_agg(
     For low-cardinality keys (≤ ~100k groups) plain aggregate is fine and
     simpler — this helper is for dedup-style keys with ~1 row per key.
 
+    The exchange is chosen from the partial stream ``ds`` actually
+    produced: ``ds`` runs once (``materialize``) and its blocks' metadata
+    row counts are summed — the driver holds refs and metadata, never
+    rows. When the caller did not pin ``n_buckets`` and at most
+    ``ONE_TASK_COMBINE_ROWS`` rows arrived, ONE task runs ``bucket_fn``
+    over all of them (every key is in that one "bucket"); otherwise the
+    materialized rows go through the bucketed Sort exchange. An explicit
+    ``n_buckets`` always takes the exchange.
+
     ``bucket_fn`` receives ALL rows of one bucket as a pandas DataFrame
     (every row of a key lands in exactly one bucket, so any per-key
-    aggregate is computable) and returns its aggregated frame. Buckets are
-    ``pd.util.hash_pandas_object`` over the key columns (deterministic,
-    content-based) mod ``n_buckets``; n_buckets defaults to 8× cluster
-    CPUs grown so a bucket stays under ~2M rows when ``approx_rows`` is
-    given — at 100 TB pass the known input row count so bucket size, not
-    bucket count, stays constant."""
+    aggregate is computable) and returns its aggregated frame; on an empty
+    stream it gets one empty frame with the partial columns, so the result
+    keeps its columns. Buckets are ``pd.util.hash_pandas_object`` over the
+    key columns (deterministic, content-based) mod ``n_buckets``;
+    n_buckets defaults to 8× cluster CPUs grown so a bucket stays under
+    ~2M rows of the observed (or the caller's ``approx_rows``, if larger)
+    partial count."""
     import pandas as pd
 
-    k = n_buckets or group_buckets(approx_rows)
+    partials = ds.materialize()
+    blocks = [
+        block
+        for bundle in partials.iter_internal_ref_bundles()
+        for block in bundle.blocks
+    ]
+    rows = sum(meta.num_rows for _, meta in blocks)
+    if n_buckets is None and rows <= ONE_TASK_COMBINE_ROWS:
+        return _one_task_combine([ref for ref, _ in blocks], bucket_fn)
+    k = n_buckets or group_buckets(max(rows, approx_rows or 0))
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy(deep=False)
@@ -241,10 +267,42 @@ def bucketed_group_agg(
         return bucket_fn(g.drop(columns=["_bucket"]))
 
     return (
-        ds.map_batches(add_bucket, batch_format="pandas")
+        partials.map_batches(add_bucket, batch_format="pandas")
         .groupby("_bucket")
         .map_groups(run_bucket, batch_format="pandas")
     )
+
+
+def _one_task_combine(refs: list, bucket_fn) -> ray.data.Dataset:
+    """``bucket_fn`` over every partial block in ONE Ray task; its frame
+    comes back as a one-block Dataset. Empty blocks are normalized the way
+    ``combine_small`` does (empty pandas blocks, schema-less blocks): an
+    all-empty stream reaches ``bucket_fn`` as one empty frame with the
+    partial columns, or, when no block names a column, comes back as an
+    empty frame, as from the exchange. The task is a closure: a
+    module-level remote function here would make its worker import the
+    whole ops package."""
+
+    def combine(*blocks):
+        import pandas as pd
+        import pyarrow as pa
+
+        tables = [
+            pa.Table.from_pandas(b, preserve_index=False)
+            if isinstance(b, pd.DataFrame) else b
+            for b in blocks
+        ]
+        full = [t for t in tables if t.num_rows]
+        if full:
+            return bucket_fn(
+                pa.concat_tables(full, promote_options="default").to_pandas()
+            )
+        carriers = [t for t in tables if t.num_columns]
+        if carriers:  # empty blocks still carry the partial columns
+            return bucket_fn(carriers[0].to_pandas())
+        return pd.DataFrame()
+
+    return ray.data.from_pandas_refs([ray.remote(combine).remote(*refs)])
 
 
 def table_spread(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import stat
 import tempfile
 import warnings
@@ -82,10 +83,37 @@ def _fixture_home(name: str) -> str | None:
         return None
 
 
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # another user's live process
+        return True
+    return True
+
+
+def _prune_dead_trees(home: str) -> None:
+    """Delete the ``<tag>-<pid>`` trees under ``home`` whose pid is no
+    longer alive and that the ``current`` link does not name: earlier
+    processes' fixture crawls, which nothing reads again. A live pid's
+    tree (a concurrent run, or a recycled pid) is kept."""
+    cur = os.path.realpath(os.path.join(home, "current"))
+    for entry in os.listdir(home):
+        tag, _, pid = entry.rpartition("-")
+        path = os.path.join(home, entry)
+        if (not tag or not pid.isdigit()
+                or os.path.islink(path) or not os.path.isdir(path)
+                or os.path.realpath(path) == cur or _pid_alive(int(pid))):
+            continue
+        shutil.rmtree(path, ignore_errors=True)
+
+
 def _new_out_dir(name: str, sf_dir: str) -> str:
     home = _fixture_home(name)
     if home is None:
         return tempfile.mkdtemp(prefix=f"raycrawl-{name}-")
+    _prune_dead_trees(home)
     # stable digest (Python str hash is PYTHONHASHSEED-randomized) + pid so
     # re-runs reuse the same dir and concurrent processes cannot collide
     tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]

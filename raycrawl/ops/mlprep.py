@@ -22,7 +22,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .common import join_partitions, md5_u64_le, note_path, round_half_away, table
+from .common import (bucketed_group_agg, join_partitions, md5_u64_le,
+                     note_path, round_half_away, table)
 from .queries import register
 
 # --------------------------------------------------------------------------
@@ -265,8 +266,6 @@ OUTER_JOIN_BROADCAST_MAX = 1_000_000  # count rows ≈ 24 B each → ≤ ~24 MB
     """,
 )
 def customer_urgent_order_stats(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     def cents(t: pa.Table) -> pa.Table:
         return pa.table(
             {
@@ -281,12 +280,14 @@ def customer_urgent_order_stats(sf_dir: str):
             }
         )
 
-    counts = (
+    counts = bucketed_group_agg(
         table(sf_dir, "orders", ["o_custkey", "o_totalprice", "o_orderpriority"])
         .filter(expr="o_orderpriority == '1-URGENT'")
-        .map_batches(cents, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Count(alias_name="n"), Sum("price_c", alias_name="spend_c"))
+        .map_batches(cents, batch_format="pyarrow"),
+        ["o_custkey"],
+        lambda g: g.groupby("o_custkey", as_index=False).agg(
+            n=("price_c", "size"), spend_c=("price_c", "sum")
+        ),
     )
     cust = table(sf_dir, "customer", ["c_custkey", "c_name"])
 

@@ -599,20 +599,11 @@ def customers_without_urgent_orders(sf_dir: str):
     FROM events GROUP BY user_id
     """,
 )
-def user_event_profile(sf_dir: str, n_buckets: int = 256):
+def user_event_profile(sf_dir: str, n_buckets: int | None = None):
     ds = table(sf_dir, "events", ["user_id", "ts", "value", "event_type"])
 
-    # partition by user bucket (fixed cardinality), aggregate every user
-    # of the bucket in ONE pandas groupby (C-speed) — not one Python call
-    # per user
-    def add_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        import numpy as np
-
-        return t.append_column(
-            "bucket", pa.array((uid % n_buckets).astype(np.int64))
-        )
-
+    # partition by user bucket, aggregate every user of the bucket in ONE
+    # pandas groupby (C-speed) — not one Python call per user
     def prof_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.assign(cents=(g["value"] * 100).round().astype("int64"))
         out = g.groupby("user_id", as_index=False).agg(
@@ -625,11 +616,7 @@ def user_event_profile(sf_dir: str, n_buckets: int = 256):
         out["n_types"] = out["n_types"].astype("int64")
         return out[["user_id", "n_events", "first_ts", "total_value", "n_types"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(prof_bucket, batch_format="pandas")
-    )
+    return bucketed_group_agg(ds, ["user_id"], prof_bucket, n_buckets=n_buckets)
 
 
 # --------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .common import (
     table_num_rows,
 )
 from .queries import register
+from .relops import ORDERS_BROADCAST_MAX
 
 _US = 86_400 * 1_000_000  # one day in microseconds
 
@@ -58,11 +59,11 @@ def _ts_us(t: pa.Table, col: str) -> np.ndarray:
 # are probed with searchsorted inside every task. Above the gate the side
 # is genuinely large and the op switches to a partitioned hash join
 # (path-equivalence covered by tests/test_round3i.py). 1M matches the
-# repo's other broadcast gates (OUTER_JOIN_BROADCAST_MAX,
-# ORDERS_BROADCAST_MAX) and is crossed by the ~sf1.0 scale smoke's 1.5M
-# customers, so the join branches are proven on real over-gate data.
+# repo's other broadcast gates (OUTER_JOIN_BROADCAST_MAX, and
+# ORDERS_BROADCAST_MAX, defined once in relops) and is crossed by the
+# ~sf1.0 scale smoke's 1.5M customers, so the join branches are proven on
+# real over-gate data.
 CUST_BROADCAST_MAX = 1_000_000
-ORDERS_BROADCAST_MAX = 1_000_000
 PART_BROADCAST_MAX = 4_000_000
 
 

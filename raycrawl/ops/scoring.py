@@ -13,9 +13,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Count
 
-from .common import table
+from .common import bucketed_group_agg, table
 from .queries import register
 
 
@@ -165,12 +165,11 @@ def tfidf_top_terms(sf_dir: str, max_features: int = 26):
 
     import pyarrow.parquet as _pq
 
-    dfs = (
-        ds.map_batches(partial_df, batch_format="pandas")
-        .groupby("term")
-        .aggregate(Sum("df", alias_name="df"))
-        .to_pandas()  # vocabulary-sized — small
-    )
+    dfs = bucketed_group_agg(
+        ds.map_batches(partial_df, batch_format="pandas"),
+        ["term"],
+        lambda g: g.groupby("term", as_index=False)["df"].sum(),
+    ).to_pandas()  # vocabulary-sized — small
     # corpus size from parquet metadata (a driver-side fact of the input;
     # no extra Ray execution)
     n_docs = _pq.read_metadata(

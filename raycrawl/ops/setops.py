@@ -6,7 +6,7 @@ import pandas as pd
 import pyarrow as pa
 from ray.data.aggregate import Count
 
-from .common import table
+from .common import bucketed_group_agg, table
 from .queries import register
 
 
@@ -65,20 +65,11 @@ def union_name_initials(sf_dir: str):
     WHERE rnk <= 2
     """,
 )
-def top2_events_per_user(sf_dir: str, n_buckets: int = 256):
+def top2_events_per_user(sf_dir: str, n_buckets: int | None = None):
     ds = table(sf_dir, "events", ["user_id", "event_id", "value"])
 
     # per-group top-k over a user BUCKET: one vectorized sort + cumcount
     # ranks every user in the bucket at once (no per-user Python call)
-    def add_bucket(t):
-        import numpy as np
-        import pyarrow as pa
-
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "bucket", pa.array((uid % n_buckets).astype(np.int64))
-        )
-
     def topk_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
             ["user_id", "value", "event_id"], ascending=[True, False, True]
@@ -89,11 +80,7 @@ def top2_events_per_user(sf_dir: str, n_buckets: int = 256):
         g["value"] = g["value"].round(2)
         return g[["user_id", "event_id", "value", "rnk"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(topk_bucket, batch_format="pandas")
-    )
+    return bucketed_group_agg(ds, ["user_id"], topk_bucket, n_buckets=n_buckets)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .common import combine_small, round_half_away, table
+from .common import bucketed_group_agg, combine_small, round_half_away, table
 from .queries import register
 
 
@@ -23,25 +23,13 @@ from .queries import register
 # recent STRICTLY EARLIER 'purchase' event (NULL if none) — the classic
 # enrich-with-latest-state lookup (merge_asof inside per-user groups)
 # --------------------------------------------------------------------------
-# Bucketed per-user vectorization infrastructure. Every per-user windowed
-# operator here partitions by user BUCKET (user_id % n_buckets), not by
-# user: groupby(user).map_groups pays a per-group pandas call (~0.2 ms ×
-# millions of users at web scale — measured 5.6 s vs 3.1 s at just 29k
-# users), while a bucket holds many users and processes them ALL in one
-# vectorized pass over (user, ts)-lexsorted arrays. n_buckets bounds a
-# group at events/n_buckets rows and is the fixed-cardinality shuffle key.
-
-_USER_BUCKETS = 256
-
-
-def _bucketed(ds, n_buckets: int):
-    def add_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "bucket", pa.array((uid % n_buckets).astype(np.int64))
-        )
-
-    return ds.map_batches(add_bucket, batch_format="pyarrow").groupby("bucket")
+# Bucketed per-user vectorization: every per-user windowed operator here
+# goes through common.bucketed_group_agg keyed on user_id, so a bucket
+# holds many users and processes them ALL in one vectorized pass over
+# (user, ts)-lexsorted arrays — groupby(user).map_groups would pay a
+# per-group pandas call (~0.2 ms × millions of users at web scale;
+# measured 5.6 s vs 3.1 s at just 29k users). A small events stream is
+# one bucket, combined by one task; ``n_buckets`` pins the exchange.
 
 
 def _user_segments(uid_sorted: np.ndarray):
@@ -62,7 +50,7 @@ def _user_segments(uid_sorted: np.ndarray):
     GROUP BY e.event_id
     """,
 )
-def asof_last_purchase(sf_dir: str, n_buckets: int = _USER_BUCKETS):
+def asof_last_purchase(sf_dir: str, n_buckets: int | None = None):
     """Backward as-of join, fully vectorized per bucket: rows lexsort by
     (user, ts, event_id); each row's purchase timestamp (or a per-user
     floor sentinel) is encoded onto its user's disjoint int64 range
@@ -99,8 +87,8 @@ def asof_last_purchase(sf_dir: str, n_buckets: int = _USER_BUCKETS):
         result.loc[~ok, "last_purchase_ts"] = pd.NaT
         return result
 
-    return _bucketed(ds, n_buckets).map_groups(
-        asof_bucket, batch_format="pandas"
+    return bucketed_group_agg(
+        ds, ["user_id"], asof_bucket, n_buckets=n_buckets
     )
 
 
@@ -133,7 +121,7 @@ def asof_last_purchase(sf_dir: str, n_buckets: int = _USER_BUCKETS):
     FROM sizes GROUP BY user_id
     """,
 )
-def user_sessions_30m(sf_dir: str, n_buckets: int = _USER_BUCKETS):
+def user_sessions_30m(sf_dir: str, n_buckets: int | None = None):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts"])
     gap_us = 30 * 60 * 1_000_000
 
@@ -166,8 +154,8 @@ def user_sessions_30m(sf_dir: str, n_buckets: int = _USER_BUCKETS):
             }
         )
 
-    return _bucketed(ds, n_buckets).map_groups(
-        sessionize_bucket, batch_format="pandas"
+    return bucketed_group_agg(
+        ds, ["user_id"], sessionize_bucket, n_buckets=n_buckets
     )
 
 
@@ -184,7 +172,7 @@ def user_sessions_30m(sf_dir: str, n_buckets: int = _USER_BUCKETS):
     FROM events
     """,
 )
-def running_event_index(sf_dir: str, n_buckets: int = _USER_BUCKETS):
+def running_event_index(sf_dir: str, n_buckets: int | None = None):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def running_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -197,8 +185,8 @@ def running_event_index(sf_dir: str, n_buckets: int = _USER_BUCKETS):
         prior = np.arange(len(uid_s), dtype=np.int64) - starts[urank]
         return pd.DataFrame({"event_id": eid[order], "prior_events": prior})
 
-    return _bucketed(ds, n_buckets).map_groups(
-        running_bucket, batch_format="pandas"
+    return bucketed_group_agg(
+        ds, ["user_id"], running_bucket, n_buckets=n_buckets
     )
 
 
@@ -218,7 +206,7 @@ def running_event_index(sf_dir: str, n_buckets: int = _USER_BUCKETS):
     FROM events
     """,
 )
-def sliding_window_counts(sf_dir: str, n_buckets: int = _USER_BUCKETS):
+def sliding_window_counts(sf_dir: str, n_buckets: int | None = None):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts"])
     gap_us = 30 * 60 * 1_000_000
 
@@ -241,8 +229,8 @@ def sliding_window_counts(sf_dir: str, n_buckets: int = _USER_BUCKETS):
             {"event_id": eid[order], "n_in_window": (hi - lo).astype("int64")}
         )
 
-    return _bucketed(ds, n_buckets).map_groups(
-        window_bucket, batch_format="pandas"
+    return bucketed_group_agg(
+        ds, ["user_id"], window_bucket, n_buckets=n_buckets
     )
 
 
@@ -266,10 +254,10 @@ def sliding_window_counts(sf_dir: str, n_buckets: int = _USER_BUCKETS):
     FROM g GROUP BY user_id
     """,
 )
-def user_interarrival_stats(sf_dir: str, n_buckets: int = _USER_BUCKETS):
+def user_interarrival_stats(sf_dir: str, n_buckets: int | None = None):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts"])
-    return _bucketed(ds, n_buckets).map_groups(
-        interarrival_bucket_stats, batch_format="pandas"
+    return bucketed_group_agg(
+        ds, ["user_id"], interarrival_bucket_stats, n_buckets=n_buckets
     )
 
 
@@ -324,7 +312,7 @@ def interarrival_bucket_stats(g: pd.DataFrame) -> pd.DataFrame:
     FROM events
     """,
 )
-def rolling_value_mean_5(sf_dir: str, n_buckets: int = _USER_BUCKETS):
+def rolling_value_mean_5(sf_dir: str, n_buckets: int | None = None):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     W = 5
 
@@ -352,8 +340,8 @@ def rolling_value_mean_5(sf_dir: str, n_buckets: int = _USER_BUCKETS):
             }
         )
 
-    return _bucketed(ds, n_buckets).map_groups(
-        roll_bucket, batch_format="pandas"
+    return bucketed_group_agg(
+        ds, ["user_id"], roll_bucket, n_buckets=n_buckets
     )
 
 
@@ -376,7 +364,7 @@ def rolling_value_mean_5(sf_dir: str, n_buckets: int = _USER_BUCKETS):
     FROM g WHERE prev_type IS NOT NULL GROUP BY prev_type, next_type
     """,
 )
-def event_type_transitions(sf_dir: str, n_buckets: int = _USER_BUCKETS):
+def event_type_transitions(sf_dir: str, n_buckets: int | None = None):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -397,8 +385,8 @@ def event_type_transitions(sf_dir: str, n_buckets: int = _USER_BUCKETS):
             .rename(columns={"size": "n"})
         )
 
-    partial = _bucketed(ds, n_buckets).map_groups(
-        pairs_bucket, batch_format="pandas"
+    partial = bucketed_group_agg(
+        ds, ["user_id"], pairs_bucket, n_buckets=n_buckets
     )
 
     def final(t: pa.Table) -> pa.Table:
@@ -439,7 +427,7 @@ FROM f GROUP BY event_type
 
 
 @register("event_followup_5m_by_type", sql=_FOLLOW_SQL)
-def event_followup_5m_by_type(sf_dir: str, n_buckets: int = _USER_BUCKETS):
+def event_followup_5m_by_type(sf_dir: str, n_buckets: int | None = None):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     # offset-shift over the shared bucket infrastructure: each user's
@@ -465,8 +453,8 @@ def event_followup_5m_by_type(sf_dir: str, n_buckets: int = _USER_BUCKETS):
             n_events=("nf", "size"), total_followups=("nf", "sum")
         )
 
-    partials = _bucketed(ds, n_buckets).map_groups(
-        follow_bucket, batch_format="pandas"
+    partials = bucketed_group_agg(
+        ds, ["user_id"], follow_bucket, n_buckets=n_buckets
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -579,14 +567,7 @@ _FUNNEL_STAGES = ("view", "click", "purchase")
 
 @register("user_funnel_conversion", sql=_FUNNEL_SQL)
 def user_funnel_conversion(sf_dir: str):
-    import numpy as np
-
-    from .common import (
-        bucketed_group_agg,
-        round_half_away,
-        table,
-        table_num_rows,
-    )
+    from .common import table_num_rows
 
     ds = table(sf_dir, "events", ["user_id", "event_type", "ts"])
     n_rows = table_num_rows(sf_dir, "events")
@@ -634,9 +615,6 @@ def user_funnel_conversion(sf_dir: str):
 # lives in exactly one bucket, so bucket counts sum exactly); the observed
 # -day set is a bounded (time-span-sized) broadcast. ~7× the distinct-pair
 # row count crosses the exchange — pairs, never raw events.
-from .common import bucketed_group_agg  # noqa: E402
-
-
 @register(
     "rolling_7d_distinct_users",
     sql="""
@@ -652,8 +630,6 @@ from .common import bucketed_group_agg  # noqa: E402
 def rolling_7d_distinct_users(sf_dir: str):
     import pyarrow.compute as pc
     import ray
-
-    from .common import bucketed_group_agg, combine_small
 
     ds = table(sf_dir, "events", ["ts", "user_id"])
 
@@ -944,8 +920,6 @@ ORDER BY day
 @register("cumulative_unique_users_daily", sql=_CUMU_SQL)
 def cumulative_unique_users_daily(sf_dir: str):
     import pyarrow.compute as pc
-
-    from .common import bucketed_group_agg
 
     ds = table(sf_dir, "events", ["ts", "user_id"])
 

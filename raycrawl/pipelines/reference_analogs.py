@@ -444,13 +444,12 @@ def label_propagation(sf_dir: str):
             dsts.append(k % 150)
         return pa.table(
             {"src": pa.array(srcs, pa.int64()), "dst": pa.array(dsts, pa.int64())}
-        )
+        ).group_by(["src", "dst"]).aggregate([])  # map-side dedup
 
-    edges = (
-        ds.map_batches(parse_edges, batch_format="pyarrow")
-        .groupby(["src", "dst"])
-        .aggregate(Count(alias_name="w"))
-        .select_columns(["src", "dst"])
+    edges = bucketed_group_agg(
+        ds.map_batches(parse_edges, batch_format="pyarrow"),
+        ["src", "dst"],
+        lambda g: g.drop_duplicates(),
     )
     seeds = {u: f"label{u % 3}" for u in range(9)}
     return propagate_labels(edges, seeds)

@@ -5,6 +5,7 @@ the identical result the gated local combine produces."""
 from __future__ import annotations
 
 import pandas as pd
+import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -116,3 +117,63 @@ def test_minhash_candidates_join_tail_equivalent(ray_session, monkeypatch):
     assert PATH_LOG["minhash_lsh_candidates"] == "distributed+join"
     assert len(fast) > 0  # the fixture corpus has seeded near-dups
     pd.testing.assert_frame_equal(fast, slow)
+
+
+# Ops whose final exchange is common.bucketed_group_agg: each must match its
+# registry SQL both when the partial stream is combined by one task and
+# when the bucketed Sort exchange is forced (bound 0).
+USER_OPS = (
+    "asof_last_purchase", "user_sessions_30m", "running_event_index",
+    "sliding_window_counts", "user_interarrival_stats",
+    "rolling_value_mean_5", "event_type_transitions",
+    "event_followup_5m_by_type", "user_event_profile",
+    "top2_events_per_user",
+)
+EXCHANGE_OPS = USER_OPS + (
+    "label_propagation", "tfidf_top_terms", "customer_urgent_order_stats",
+)
+# these two finish through combine_small, which an empty events read (all
+# blocks schema-less) hands a table without columns on either branch
+FINISHED_BY_COMBINE_SMALL = ("event_type_transitions",
+                             "event_followup_5m_by_type")
+
+
+def _compare():
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "tools", "check_correctness.py")
+    spec = importlib.util.spec_from_file_location("check_correctness", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.compare
+
+
+@pytest.mark.parametrize("branch", ["one_task", "bucketed"])
+@pytest.mark.parametrize("name", EXCHANGE_OPS)
+def test_exchange_ops_match_sql_on_both_branches(ray_session, monkeypatch,
+                                                 name, branch):
+    from oracle_utils import oracle
+
+    from raycrawl.ops import REGISTRY, common
+
+    if branch == "bucketed":
+        monkeypatch.setattr(common, "ONE_TASK_COMBINE_ROWS", 0)
+    got = _df(REGISTRY[name]["fn"](SF))
+    assert _compare()(name, got, oracle(name, SF)) == []
+
+
+@pytest.mark.parametrize(
+    "name", [q for q in USER_OPS if q not in FINISHED_BY_COMBINE_SMALL])
+def test_user_ops_on_empty_events(ray_session, tmp_path, name):
+    """An empty events table reads as schema-less blocks; the one-task
+    combine returns no rows for it, as the exchange does, instead of
+    handing the per-user operator a frame without its columns."""
+    import pyarrow.parquet as pq
+
+    from raycrawl.ops import REGISTRY
+
+    schema = pq.read_schema(f"{SF}/events.parquet")
+    pq.write_table(schema.empty_table(), str(tmp_path / "events.parquet"))
+    assert len(_df(REGISTRY[name]["fn"](str(tmp_path)))) == 0

@@ -1,7 +1,8 @@
 """Crawl fixtures behind the crawl-artifact SQL oracles: one crawl per
 (fixture, sf) per process, the fixture's `current` link republished on
-every call, runs isolated per TMPDIR, and a query that still returns its
-rows when the fixture base path is unusable."""
+every call, runs isolated per TMPDIR, a query that still returns its
+rows when the fixture base path is unusable, and earlier processes'
+trees pruned."""
 
 import os
 import subprocess
@@ -21,6 +22,36 @@ def _sf_dir(path, n_docs: int) -> str:
     pq.write_table(pa.table({"doc_id": pa.array(range(n_docs), pa.int64())}),
                    os.path.join(path, "documents.parquet"))
     return str(path)
+
+
+def _dead_pid() -> int:
+    p = subprocess.Popen([sys.executable, "-c", "pass"])
+    p.wait()
+    return p.pid
+
+
+def test_new_tree_prunes_dead_pid_trees(tmp_path, monkeypatch):
+    """A new fixture tree deletes the trees of processes that have exited,
+    except the one ``current`` names; a live process's tree stays."""
+    from raycrawl.ops import crawlq
+
+    monkeypatch.setattr(crawlq, "_FIXTURE_BASE", str(tmp_path / "base"))
+    home = tmp_path / "base" / "main"
+    dead, dead_cur = _dead_pid(), _dead_pid()
+    trees = {
+        "dead": home / f"aaaa0000-{dead}",
+        "live": home / f"aaaa0000-{os.getppid()}",
+        "current": home / f"bbbb1111-{dead_cur}",
+    }
+    for tree in trees.values():
+        (tree / "payload").mkdir(parents=True)
+    os.symlink(str(trees["current"]), str(home / "current"))
+    out = crawlq._new_out_dir("main", str(tmp_path / "sf"))
+    assert out.endswith(f"-{os.getpid()}")
+    assert not trees["dead"].exists()
+    assert trees["live"].exists()
+    assert trees["current"].exists()
+    assert os.path.realpath(home / "current") == str(trees["current"])
 
 
 @pytest.mark.parametrize("name", ["backoff", "redirect"])

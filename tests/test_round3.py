@@ -331,6 +331,115 @@ class TestBucketedGroupAgg:
         assert base >= 8
         assert group_buckets(approx_rows=BUCKET_TARGET_ROWS * 1000) >= 1000
 
+    # -- the exchange is chosen from the observed partial row count: a
+    # stream within ONE_TASK_COMBINE_ROWS is combined by one task, a bound
+    # of 0 forces the bucketed Sort exchange on the same input
+
+    def _both(self, ds_fn, key_cols, agg, monkeypatch):
+        from raycrawl.ops import common
+
+        one = common.bucketed_group_agg(ds_fn(), key_cols, agg)
+        with monkeypatch.context() as m:
+            m.setattr(common, "ONE_TASK_COMBINE_ROWS", 0)
+            ex = common.bucketed_group_agg(ds_fn(), key_cols, agg)
+        return one, ex
+
+    @staticmethod
+    def _sorted(out, cols):
+        return out.to_pandas().sort_values(cols).reset_index(drop=True)
+
+    @staticmethod
+    def _operators(ds) -> list:
+        ops, todo = [], [ds._logical_plan.dag]
+        while todo:
+            op = todo.pop()
+            ops.append(op)
+            todo.extend(op.input_dependencies)
+        return ops
+
+    @pytest.mark.parametrize("keys", [["k"], ["a"], ["a", "k"]])
+    def test_one_task_equals_bucketed_exchange(self, ray_session,
+                                               monkeypatch, keys):
+        import ray.data as rd
+
+        rng = np.random.Generator(np.random.PCG64(14))
+        n = 12_000
+        df = pd.DataFrame({"k": rng.integers(0, 3000, n),
+                           "a": [f"key-{i % 900}" for i in range(n)],
+                           "v": rng.integers(0, 100, n)})
+
+        def agg(g):
+            return g.groupby(keys, as_index=False).agg(s=("v", "sum"),
+                                                       n=("v", "size"))
+
+        one, ex = self._both(lambda: rd.from_pandas(df).repartition(4),
+                             keys, agg, monkeypatch)
+        got, forced = self._sorted(one, keys), self._sorted(ex, keys)
+        want = agg(df).sort_values(keys).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        pd.testing.assert_frame_equal(got, forced)
+
+    def test_empty_input_keeps_the_result_columns(self, ray_session,
+                                                  monkeypatch):
+        import ray.data as rd
+
+        df = pd.DataFrame({"k": np.arange(100), "v": np.arange(100)})
+
+        def agg(g):
+            return g.groupby("k", as_index=False).agg(s=("v", "sum"))
+
+        one, ex = self._both(
+            lambda: rd.from_pandas(df).repartition(4).filter(expr="k < 0"),
+            ["k"], agg, monkeypatch)
+        assert len(one.to_pandas()) == 0 and len(ex.to_pandas()) == 0
+        assert one.schema().names == ["k", "s"]
+
+    def test_empty_pandas_blocks_upstream(self, ray_session, monkeypatch):
+        """A pandas stage that empties some blocks leaks empty pandas
+        blocks into the partial stream; both branches skip them."""
+        import ray.data as rd
+
+        df = pd.DataFrame({"k": np.arange(400) % 37, "v": np.ones(400, int)})
+
+        def agg(g):
+            return g.groupby("k", as_index=False).agg(s=("v", "sum"))
+
+        one, ex = self._both(
+            lambda: rd.from_pandas(df).repartition(4).map_batches(
+                lambda b: b[b["k"] < 5] if b["k"].iloc[0] == 0 else b.iloc[:0],
+                batch_size=None, batch_format="pandas"),
+            ["k"], agg, monkeypatch)
+        want = agg(df.iloc[:100][df["k"].iloc[:100] < 5])
+        for out in (one, ex):
+            pd.testing.assert_frame_equal(self._sorted(out, ["k"]),
+                                          want.reset_index(drop=True))
+        # all blocks empty: one empty frame with the partial columns
+        one, _ = self._both(
+            lambda: rd.from_pandas(df).repartition(4).map_batches(
+                lambda b: b.iloc[:0], batch_size=None, batch_format="pandas"),
+            ["k"], agg, monkeypatch)
+        assert one.schema().names == ["k", "s"]
+
+    def test_one_task_branch_runs_no_all_to_all(self, ray_session,
+                                                monkeypatch):
+        import ray.data as rd
+        from ray.data._internal.logical.operators.all_to_all_operator import (
+            AbstractAllToAll,
+        )
+
+        df = pd.DataFrame({"k": np.arange(1000) % 50, "v": np.arange(1000)})
+        one, ex = self._both(
+            lambda: rd.from_pandas(df).map_batches(lambda b: b,
+                                                   batch_format="pandas"),
+            ["k"], lambda g: g.groupby("k", as_index=False)["v"].sum(),
+            monkeypatch)
+        assert not [op for op in self._operators(one)
+                    if isinstance(op, AbstractAllToAll)]
+        assert [op for op in self._operators(ex)
+                if isinstance(op, AbstractAllToAll)]
+        pd.testing.assert_frame_equal(self._sorted(one, ["k"]),
+                                      self._sorted(ex, ["k"]))
+
 
 # ------------------------------------------------- incremental recrawl delta
 
