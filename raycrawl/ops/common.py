@@ -198,6 +198,11 @@ def group_buckets(approx_rows: int | None = None) -> int:
 # stream of at most this many rows is combined by ONE task instead of a
 # Sort exchange over buckets (crossover sweep: DESIGN.md §2b).
 ONE_TASK_COMBINE_ROWS = BUCKET_TARGET_ROWS
+# Least rows per output block of that task: a larger result is cut into
+# blocks of at least this many rows, at most one per cluster CPU, so the
+# stage after it is not one task. A map stage over one 1M-row block took
+# 0.54 s vs 0.28 s over four; at 250k rows both took 0.2 s (§2b).
+ONE_TASK_SLICE_ROWS = 250_000
 
 
 def bucketed_group_agg(
@@ -274,16 +279,19 @@ def bucketed_group_agg(
 
 
 def _one_task_combine(refs: list, bucket_fn) -> ray.data.Dataset:
-    """``bucket_fn`` over every partial block in ONE Ray task; its frame
-    comes back as a one-block Dataset. Empty blocks are normalized the way
-    ``combine_small`` does (empty pandas blocks, schema-less blocks): an
-    all-empty stream reaches ``bucket_fn`` as one empty frame with the
-    partial columns, or, when no block names a column, comes back as an
-    empty frame, as from the exchange. The task is a closure: a
-    module-level remote function here would make its worker import the
-    whole ops package."""
+    """``bucket_fn`` over every partial block in ONE Ray task. Its frame
+    comes back cut into blocks of at least ``ONE_TASK_SLICE_ROWS`` rows,
+    at most one per cluster CPU (a smaller result is one block). Empty
+    blocks are normalized the way ``combine_small`` does (empty pandas
+    blocks, schema-less blocks): an all-empty stream reaches ``bucket_fn``
+    as one empty frame with the partial columns, or, when no block names
+    a column, comes back as an empty frame, as from the exchange. The task
+    is a closure: a module-level remote function here would make its
+    worker import the whole ops package."""
+    parts = int(ray.cluster_resources().get("CPU", 8))
+    slice_rows = ONE_TASK_SLICE_ROWS
 
-    def combine(*blocks):
+    def combine(*blocks):  # a generator task: one object per output block
         import pandas as pd
         import pyarrow as pa
 
@@ -293,16 +301,21 @@ def _one_task_combine(refs: list, bucket_fn) -> ray.data.Dataset:
             for b in blocks
         ]
         full = [t for t in tables if t.num_rows]
+        carriers = [t for t in tables if t.num_columns]
         if full:
-            return bucket_fn(
+            out = bucket_fn(
                 pa.concat_tables(full, promote_options="default").to_pandas()
             )
-        carriers = [t for t in tables if t.num_columns]
-        if carriers:  # empty blocks still carry the partial columns
-            return bucket_fn(carriers[0].to_pandas())
-        return pd.DataFrame()
+        elif carriers:  # empty blocks still carry the partial columns
+            out = bucket_fn(carriers[0].to_pandas())
+        else:
+            out = pd.DataFrame()
+        n = max(1, min(parts, len(out) // slice_rows))
+        step = max(1, -(-len(out) // n))
+        for lo in range(0, max(1, len(out)), step):
+            yield out.iloc[lo:lo + step]
 
-    return ray.data.from_pandas_refs([ray.remote(combine).remote(*refs)])
+    return ray.data.from_pandas_refs(list(ray.remote(combine).remote(*refs)))
 
 
 def table_spread(

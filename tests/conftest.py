@@ -22,3 +22,27 @@ def ray_session():
     ctx.execution_options.verbose_progress = False
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def force_exchange(monkeypatch):
+    """Returns a switch that sends every later unpinned
+    ``common.bucketed_group_agg`` call through the bucketed Sort exchange,
+    as a partial stream over ``ONE_TASK_COMBINE_ROWS`` would. Path-equivalence
+    tests flip it together with their own gate, so the "as at scale" side
+    ends in the exchange, not in the one combine task test data gets.
+    ``force_exchange.runs`` counts the exchanges that ran since the flip."""
+    from raycrawl.ops import common
+
+    group_buckets = common.group_buckets
+
+    def counted(*args, **kwargs):
+        force.runs += 1
+        return group_buckets(*args, **kwargs)
+
+    def force():
+        monkeypatch.setattr(common, "ONE_TASK_COMBINE_ROWS", 0)
+        monkeypatch.setattr(common, "group_buckets", counted)
+
+    force.runs = 0
+    return force

@@ -29,34 +29,43 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
-def test_top_revenue_orders_paths_agree(ray_session, monkeypatch):
+def test_top_revenue_orders_paths_agree(ray_session, monkeypatch,
+                                        force_exchange):
     from raycrawl.ops import queries as Q
 
     fast = _df(Q.REGISTRY["top_revenue_orders"]["fn"](SF))
     monkeypatch.setattr(Q, "table_num_rows", lambda sf, name: 10**12)
+    force_exchange()
     slow = _df(Q.REGISTRY["top_revenue_orders"]["fn"](SF))
+    assert force_exchange.runs  # the forced side ran the exchange
     # top-10 is ordered — compare as-is, not sorted
     pd.testing.assert_frame_equal(
         fast.reset_index(drop=True), slow.reset_index(drop=True)
     )
 
 
-def test_exact_dedup_docs_paths_agree(ray_session, monkeypatch):
+def test_exact_dedup_docs_paths_agree(ray_session, monkeypatch,
+                                      force_exchange):
     from raycrawl.ops import queries as Q
 
     fast = _norm(_df(Q.REGISTRY["exact_dedup_docs"]["fn"](SF)))
     monkeypatch.setattr(Q, "table_num_rows", lambda sf, name: 10**12)
+    force_exchange()
     slow = _norm(_df(Q.REGISTRY["exact_dedup_docs"]["fn"](SF)))
+    assert force_exchange.runs  # the forced side ran the exchange
     pd.testing.assert_frame_equal(fast, slow)
 
 
-def test_exact_dedup_by_hash_paths_agree(ray_session, monkeypatch):
+def test_exact_dedup_by_hash_paths_agree(ray_session, monkeypatch,
+                                         force_exchange):
     from raycrawl.ops import dedup as D
     from raycrawl.ops.queries import REGISTRY
 
     fast = _norm(_df(REGISTRY["exact_dedup_by_hash"]["fn"](SF)))
     monkeypatch.setattr(D, "table_num_rows", lambda sf, name: 10**12)
+    force_exchange()
     slow = _norm(_df(REGISTRY["exact_dedup_by_hash"]["fn"](SF)))
+    assert force_exchange.runs  # the forced side ran the exchange
     pd.testing.assert_frame_equal(fast, slow)
 
 
@@ -85,14 +94,16 @@ def test_union_find_min_label():
 
 
 def test_minhash_cluster_distributed_components_equivalent(
-    ray_session, monkeypatch
+    ray_session, monkeypatch, force_exchange
 ):
     from raycrawl.ops import dedup as D
     from raycrawl.ops.queries import REGISTRY
 
     fast = _norm(_df(REGISTRY["minhash_dedup_clusters"]["fn"](SF)))
     monkeypatch.setattr(D, "CLUSTER_DRIVER_PATH_MAX_PAIRS", -1)
+    force_exchange()
     slow = _norm(_df(REGISTRY["minhash_dedup_clusters"]["fn"](SF)))
+    assert force_exchange.runs  # the forced side ran the exchange
     pd.testing.assert_frame_equal(fast, slow)
     # survivors: exactly one keeper per cluster, keeper is the min doc_id
     keepers = fast[fast["keep"]]
@@ -101,7 +112,8 @@ def test_minhash_cluster_distributed_components_equivalent(
     assert set(fast["cluster_id"]) == set(keepers["doc_id"])
 
 
-def test_minhash_candidates_join_tail_equivalent(ray_session, monkeypatch):
+def test_minhash_candidates_join_tail_equivalent(ray_session, monkeypatch,
+                                                 force_exchange):
     """Above the pair-funnel gate the candidates op must produce the same
     verified pairs via bucketed pair-dedup + Dataset.join text fetch (no
     driver funnel) as the broadcast path does below it."""
@@ -110,10 +122,12 @@ def test_minhash_candidates_join_tail_equivalent(ray_session, monkeypatch):
     from raycrawl.ops.queries import REGISTRY
 
     monkeypatch.setattr(D, "LSH_DRIVER_PATH_MAX_BAND_ROWS", -1)
+    force_exchange()
     fast = _norm(_df(REGISTRY["minhash_lsh_candidates"]["fn"](SF)))
     assert PATH_LOG["minhash_lsh_candidates"] == "distributed"
     monkeypatch.setattr(D, "LSH_PAIR_FUNNEL_MAX_PAIRS", -1)
     slow = _norm(_df(REGISTRY["minhash_lsh_candidates"]["fn"](SF)))
+    assert force_exchange.runs  # the forced side ran the exchange
     assert PATH_LOG["minhash_lsh_candidates"] == "distributed+join"
     assert len(fast) > 0  # the fixture corpus has seeded near-dups
     pd.testing.assert_frame_equal(fast, slow)
@@ -152,16 +166,64 @@ def _compare():
 
 @pytest.mark.parametrize("branch", ["one_task", "bucketed"])
 @pytest.mark.parametrize("name", EXCHANGE_OPS)
-def test_exchange_ops_match_sql_on_both_branches(ray_session, monkeypatch,
+def test_exchange_ops_match_sql_on_both_branches(ray_session, force_exchange,
                                                  name, branch):
     from oracle_utils import oracle
 
-    from raycrawl.ops import REGISTRY, common
+    from raycrawl.ops import REGISTRY
 
     if branch == "bucketed":
-        monkeypatch.setattr(common, "ONE_TASK_COMBINE_ROWS", 0)
+        force_exchange()
     got = _df(REGISTRY[name]["fn"](SF))
     assert _compare()(name, got, oracle(name, SF)) == []
+    assert bool(force_exchange.runs) == (branch == "bucketed")
+
+
+# Every other registry op that reaches bucketed_group_agg unpinned at this
+# scale: on the forced exchange it must still match its registry SQL (the
+# rows-only op: its own one-task result). The exchange counter fails the
+# test when an op stops reaching the helper, so the list cannot go stale.
+ALSO_REACH_EXCHANGE = (
+    "brand_association_rules", "brand_type_supplier_counts",
+    "caption_edit_distance_neardups", "cheapest_supplier_leaderboard",
+    "churned_user_event_types", "crawl_caption_novelty_by_epoch",
+    "crawl_incremental_audit", "crawl_inlink_top_pages",
+    "cumulative_unique_users_daily", "customer_cohort_retention",
+    "customer_order_count_distribution", "customer_rfm_segments",
+    "doc_dedup_rate_by_source", "duplicate_span_removal_stats",
+    "event_type_user_jaccard", "events_per_minute",
+    "excess_quantity_suppliers", "feature_hash_bucket_stats",
+    "first_touch_event_share", "funnel_time_to_convert", "hourly_user_windows",
+    "image_phash_band_lsh_pairs", "image_phash_best_resolution",
+    "image_train_batch_packing", "important_parts_revenue_share",
+    "large_volume_customers", "order_priority_exists_check",
+    "pagerank_cosuppliers", "phash_pair_psnr_verify", "pmi_top_bigrams",
+    "repeated_paragraph_dedup", "returned_item_report",
+    "rolling_7d_distinct_users", "shipping_priority_topk",
+    "simhash_dedup_groups", "small_quantity_part_revenue",
+    "sole_late_shipper_suppliers", "suppliers_covering_brand",
+    "token_zipf_slope", "triangle_count_cosuppliers",
+    "url_canonical_dedup_stats", "user_distinct_props_salted",
+    "user_funnel_conversion", "user_top_event_type",
+)
+
+
+@pytest.mark.parametrize("name", ALSO_REACH_EXCHANGE)
+def test_ops_reaching_the_exchange_match_sql_on_it(ray_session,
+                                                    force_exchange, name):
+    from oracle_utils import oracle
+
+    from raycrawl.ops import REGISTRY
+
+    want = None
+    if REGISTRY[name]["sql"] is None:
+        want = _df(REGISTRY[name]["fn"](SF))
+    force_exchange()
+    got = _df(REGISTRY[name]["fn"](SF))
+    assert force_exchange.runs, f"{name} no longer reaches the exchange"
+    if want is None:  # crawl-artifact SQL reads what the query published
+        want = oracle(name, SF)
+    assert _compare()(name, got, want) == []
 
 
 @pytest.mark.parametrize(

@@ -41,14 +41,16 @@ def test_outer_join_zero_fills(ray_session):
     assert (zeros["urgent_spend"] == 0.0).all()
 
 
-def test_outer_join_paths_equivalent(ray_session, monkeypatch):
+def test_outer_join_paths_equivalent(ray_session, monkeypatch, force_exchange):
     """Forcing the Dataset.join LEFT OUTER path (broadcast cap 0) must
     produce exactly the rows of the broadcast-lookup path."""
     from raycrawl.ops import mlprep
 
     base = norm(run_query("customer_urgent_order_stats", SF))
     monkeypatch.setattr(mlprep, "OUTER_JOIN_BROADCAST_MAX", 0)
+    force_exchange()
     joined = norm(run_query("customer_urgent_order_stats", SF))
+    assert force_exchange.runs  # the forced side ran the exchange
     pd.testing.assert_frame_equal(base, joined)
 
 

@@ -123,14 +123,17 @@ def test_mulmod_p61_matches_python_ints():
     assert not np.array_equal(wrapped, want)
 
 
-def test_minhash_lsh_distributed_branch_equivalent(ray_session, monkeypatch):
+def test_minhash_lsh_distributed_branch_equivalent(ray_session, monkeypatch,
+                                                  force_exchange):
     """The distributed groupby pair-expansion branch (the 100-TB path) must
     return the same verified pair set as the driver-side branch."""
     import raycrawl.ops.dedup as dedup
 
     base = dedup.minhash_lsh_candidates(SF)  # driver path → DataFrame
     monkeypatch.setattr(dedup, "LSH_DRIVER_PATH_MAX_BAND_ROWS", 0)
+    force_exchange()
     dist = dedup.minhash_lsh_candidates(SF).to_pandas()
+    assert force_exchange.runs  # the forced side ran the exchange
     key = ["a", "b"]
     pd.testing.assert_frame_equal(
         base.sort_values(key).reset_index(drop=True),

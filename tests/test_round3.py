@@ -440,6 +440,34 @@ class TestBucketedGroupAgg:
         pd.testing.assert_frame_equal(self._sorted(one, ["k"]),
                                       self._sorted(ex, ["k"]))
 
+    def test_large_one_task_result_comes_back_in_blocks(self, ray_session,
+                                                        monkeypatch):
+        """The one task's result is cut into blocks of at least
+        ONE_TASK_SLICE_ROWS rows, at most one per CPU; a result under two
+        slices, and an empty one, stay one block."""
+        import ray.data as rd
+
+        from raycrawl.ops import common
+
+        monkeypatch.setattr(common, "ONE_TASK_SLICE_ROWS", 100)
+        df = pd.DataFrame({"k": np.arange(1000), "v": np.arange(1000)})
+
+        def agg(g):
+            return g.groupby("k", as_index=False).agg(s=("v", "sum"))
+
+        def run(d, fn=agg):
+            out = common.bucketed_group_agg(
+                rd.from_pandas(d).repartition(4), ["k"], fn).materialize()
+            return out, out.num_blocks()
+
+        out, blocks = run(df)  # 1000 rows, 4 CPUs: 4 blocks of 250
+        assert blocks == 4
+        pd.testing.assert_frame_equal(self._sorted(out, ["k"]), agg(df))
+        out, blocks = run(df, lambda g: agg(g).head(150))
+        assert blocks == 1 and out.count() == 150
+        out, blocks = run(df, lambda g: agg(g).iloc[:0])
+        assert blocks == 1 and out.schema().names == ["k", "s"]
+
 
 # ------------------------------------------------- incremental recrawl delta
 

@@ -256,7 +256,8 @@ def test_kll_by_type_merge_order_independence():
     assert qs[0] == qs[1]
 
 
-def test_label_prop_winner_gate_path_equivalence(ray_session, monkeypatch):
+def test_label_prop_winner_gate_path_equivalence(ray_session, monkeypatch,
+                                               force_exchange):
     """Winner selection must be identical on both sides of the
     driver-pick edge gate (it is one shared function; this pins the
     plumbing around it), and the gate must key on EDGE volume — a tiny
@@ -275,8 +276,10 @@ def test_label_prop_winner_gate_path_equivalence(ray_session, monkeypatch):
                             iterations=2, margin=1)
     assert PATH_LOG.get("label_propagation") == "driver_pick"
     monkeypatch.setattr(ra, "_LP_DRIVER_PICK_MAX_EDGES", 0)
+    force_exchange()
     b = ra.propagate_labels(ray.data.from_pandas(edges), seeds,
                             iterations=2, margin=1)
+    assert force_exchange.runs  # the forced side ran the exchange
     assert PATH_LOG.get("label_propagation") == "bucketed_winners"
     pd.testing.assert_frame_equal(a, b)
 
