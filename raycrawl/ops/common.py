@@ -16,19 +16,19 @@ def table(sf_dir: str, name: str, columns: list[str] | None = None) -> ray.data.
 
 
 def table_num_rows(sf_dir: str, name: str) -> int:
-    """Row count from parquet footers only — zero data read. Used to gate
-    the small-aggregate fast path (``combine_small``) without an extra
-    counting pass over the stream."""
+    """Row count from parquet footers only — zero data read. Used by the
+    driver-side broadcast/driver-path gates that must decide before any
+    row is read; a combine decides from the rows it observes instead
+    (``bucketed_group_agg``)."""
     import pyarrow.dataset as pads
 
     return pads.dataset(f"{sf_dir}/{name}.parquet").count_rows()
 
 
-# Gate for combine_small on UNBOUNDED-cardinality keys: below this many
-# input rows the partial stream is guaranteed small enough for one final
-# combine; above it the query must use Dataset.groupby (all-to-all hash
-# shuffle). Fixed-cardinality keys (≤ a few hundred distinct values) can
-# skip the gate: their partial output is ≤ keys × blocks rows at ANY scale.
+# Input-row bound of the driver-side gates that pull a whole table (or a
+# quarter of it, for the near-dup driver paths) into one process: the
+# near-dup ``// 4`` gates in dedup.py and the ``broadcast_max`` defaults
+# of local_supplier_revenue and mlprep. Combines do not read it.
 SMALL_COMBINE_ROWS = 2_000_000
 
 
@@ -38,20 +38,17 @@ def combine_small(partials: ray.data.Dataset, combine_fn) -> pa.Table:
     Ray Data's groupby is a sort-based all-to-all exchange with a fixed
     cost of 0.3–0.5 s per Sort exchange (measured on a 4-vCPU VM, Ray
     declared 4 CPUs) — pure overhead when the map-side combiner has
-    already collapsed the stream to ≲2M tiny rows. This helper instead
-    pulls the partial blocks zero-copy off the object store
-    (``to_arrow_refs``: the map_batches tasks still ran distributed; only
-    their ALREADY-AGGREGATED outputs move) and runs the final combine as
-    one local Arrow kernel.
+    already collapsed the stream to a few rows per key. This helper instead
+    pulls the partial blocks zero-copy off the object store (the
+    map_batches tasks still ran distributed; only their ALREADY-AGGREGATED
+    outputs move) and runs the final combine as one local Arrow kernel on
+    the driver.
 
-    Scale contract: callers MUST bound the partial stream first — either
-    the group key has fixed small cardinality (partial rows ≤ keys ×
-    blocks), or the caller gates on ``table_num_rows() <=
-    SMALL_COMBINE_ROWS`` and falls back to ``Dataset.groupby`` beyond it
-    (path-equivalence tested). At 100 TB with billions of keys the gate
-    routes to the shuffle; with fixed keys the combine input stays ≤ a few
-    rows per input block, which a tree of per-block combiners already
-    collapsed once.
+    Scale contract: callers MUST bound the partial stream first — e.g. a
+    group key of fixed small cardinality (partial rows ≤ keys × blocks at
+    any input size) or a per-block top-k. An unbounded key goes through
+    ``bucketed_group_agg``, which picks one combine task or the bucketed
+    exchange by itself from the partial rows it observes.
     """
     import pandas as pd
 
@@ -61,18 +58,11 @@ def combine_small(partials: ray.data.Dataset, combine_fn) -> pa.Table:
     # the whole un-materialized lineage — shuffles included — a second
     # time; measured as a full duplicate pipeline run with
     # `LimitOperator[limit=1]` on every combine_small-terminated op.)
-    # `iter_internal_ref_bundles` is a Ray developer API: guard it so a Ray
-    # upgrade that drops/renames it fails over to a safe path (materialize
-    # first, so to_arrow_refs' schema fetch cannot re-execute the lineage)
-    # instead of changing execution behavior silently.
-    if hasattr(partials, "iter_internal_ref_bundles"):
-        refs = [
-            br
-            for bundle in partials.iter_internal_ref_bundles()
-            for br in bundle.block_refs
-        ]
-    else:  # pragma: no cover - exercised only on a future Ray upgrade
-        refs = list(partials.materialize().to_arrow_refs())
+    refs = [
+        br
+        for bundle in partials.iter_internal_ref_bundles()
+        for br in bundle.block_refs
+    ]
     all_blocks = ray.get(refs)
     # Raw block refs: a pandas-block stage upstream (e.g.
     # bucketed_group_agg's map_groups) can leak EMPTY pandas blocks
@@ -141,7 +131,8 @@ def cast_cols(ds: ray.data.Dataset, spec: dict[str, pa.DataType]) -> ray.data.Da
 
 
 # Which adaptive branch each gated operator took on its last run
-# ("driver"/"broadcast"/"combine_small" vs "distributed"/"join"/"groupby").
+# ("driver"/"broadcast" vs "distributed"/"join"). bucketed_group_agg's own
+# one-task-or-exchange choice is not logged here.
 # Written by note_path() at the branch point; read by the scale smoke
 # (tools/scale_smoke.py) to PROVE the distributed branches run on real
 # over-gate data, not only under monkeypatched thresholds.
@@ -177,27 +168,25 @@ def join_partitions(cap_per_node: int = 16, divisor: int = 4, floor: int = 4) ->
 
 # Target rows per bucket for bucketed_group_agg: small enough that one
 # bucket's pandas aggregate fits comfortably in a worker heap, large enough
-# that per-group Python-call overhead is amortized ~100k×.
+# that per-group Python-call overhead is amortized ~100k×. A partial stream
+# of at most this many rows is ONE bucket, combined by one task instead of
+# a Sort exchange (crossover sweep: DESIGN.md §2b).
 BUCKET_TARGET_ROWS = 2_000_000
 
 
-def group_buckets(approx_rows: int | None = None) -> int:
-    """Bucket count for ``bucketed_group_agg``: at least 8 buckets per
-    cluster CPU (parallelism), grown so no bucket exceeds
-    ``BUCKET_TARGET_ROWS`` when the caller knows the input size."""
+def group_buckets(rows: int) -> int:
+    """Bucket count of ``bucketed_group_agg`` for ``rows`` observed partial
+    rows: 1 (one combine task, no exchange) when they fit one bucket,
+    otherwise at least 8 buckets per cluster CPU (parallelism), grown so no
+    bucket exceeds ``BUCKET_TARGET_ROWS``."""
     import ray
 
+    if rows <= BUCKET_TARGET_ROWS:
+        return 1
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    k = 8 * max(1, cpus)
-    if approx_rows:
-        k = max(k, approx_rows // BUCKET_TARGET_ROWS + 1)
-    return k
+    return max(8 * max(1, cpus), rows // BUCKET_TARGET_ROWS + 1)
 
 
-# Partial-row bound of bucketed_group_agg's one-task combine: a partial
-# stream of at most this many rows is combined by ONE task instead of a
-# Sort exchange over buckets (crossover sweep: DESIGN.md §2b).
-ONE_TASK_COMBINE_ROWS = BUCKET_TARGET_ROWS
 # Least rows per output block of that task: a larger result is cut into
 # blocks of at least this many rows, at most one per cluster CPU, so the
 # stage after it is not one task. A map stage over one 1M-row block took
@@ -206,11 +195,7 @@ ONE_TASK_SLICE_ROWS = 250_000
 
 
 def bucketed_group_agg(
-    ds: ray.data.Dataset,
-    key_cols: list[str],
-    bucket_fn,
-    n_buckets: int | None = None,
-    approx_rows: int | None = None,
+    ds: ray.data.Dataset, key_cols: list[str], bucket_fn
 ) -> ray.data.Dataset:
     """HIGH-CARDINALITY groupby: shuffle on a small deterministic bucket of
     the key instead of the key itself, then aggregate each bucket with ONE
@@ -224,24 +209,20 @@ def bucketed_group_agg(
     For low-cardinality keys (≤ ~100k groups) plain aggregate is fine and
     simpler — this helper is for dedup-style keys with ~1 row per key.
 
-    The exchange is chosen from the partial stream ``ds`` actually
-    produced: ``ds`` runs once (``materialize``) and its blocks' metadata
-    row counts are summed — the driver holds refs and metadata, never
-    rows. When the caller did not pin ``n_buckets`` and at most
-    ``ONE_TASK_COMBINE_ROWS`` rows arrived, ONE task runs ``bucket_fn``
-    over all of them (every key is in that one "bucket"); otherwise the
-    materialized rows go through the bucketed Sort exchange. An explicit
-    ``n_buckets`` always takes the exchange.
+    This is the ONE place that decides how an unbounded-key combine runs,
+    from the partial stream ``ds`` actually produced: ``ds`` runs once
+    (``materialize``) and its blocks' metadata row counts are summed — the
+    driver holds refs and metadata, never rows. ``group_buckets`` of that
+    sum gives the bucket count: 1 means ONE task runs ``bucket_fn`` over
+    all of them; more means the materialized rows go through the bucketed
+    Sort exchange.
 
     ``bucket_fn`` receives ALL rows of one bucket as a pandas DataFrame
     (every row of a key lands in exactly one bucket, so any per-key
     aggregate is computable) and returns its aggregated frame; on an empty
     stream it gets one empty frame with the partial columns, so the result
     keeps its columns. Buckets are ``pd.util.hash_pandas_object`` over the
-    key columns (deterministic, content-based) mod ``n_buckets``;
-    n_buckets defaults to 8× cluster CPUs grown so a bucket stays under
-    ~2M rows of the observed (or the caller's ``approx_rows``, if larger)
-    partial count."""
+    key columns (deterministic, content-based) mod the bucket count."""
     import pandas as pd
 
     partials = ds.materialize()
@@ -250,10 +231,9 @@ def bucketed_group_agg(
         for bundle in partials.iter_internal_ref_bundles()
         for block in bundle.blocks
     ]
-    rows = sum(meta.num_rows for _, meta in blocks)
-    if n_buckets is None and rows <= ONE_TASK_COMBINE_ROWS:
+    k = group_buckets(sum(meta.num_rows for _, meta in blocks))
+    if k == 1:
         return _one_task_combine([ref for ref, _ in blocks], bucket_fn)
-    k = n_buckets or group_buckets(max(rows, approx_rows or 0))
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy(deep=False)

@@ -882,7 +882,7 @@ def image_phash_neardup_groups(sf_dir: str):
 # any divergence in encode/hash/shuffle shows up as a group-size or
 # keeper mismatch. Shape is exact_dedup_by_hash's: digest computed where
 # the bytes live (they never cross the exchange), per-block partial
-# collapse, local combine under the cardinality gate, groupby past it.
+# collapse, then the bucketed combine (common.bucketed_group_agg).
 
 _IMG_DEDUP_SQL = """
 SELECT printf('img-%08d', 3 * (doc_id // 3)) AS keeper,
@@ -893,14 +893,10 @@ FROM documents GROUP BY 1
 
 @register("image_exact_dedup_bytes", sql=_IMG_DEDUP_SQL)
 def image_exact_dedup_bytes(sf_dir: str):
-    import numpy as np
     import pyarrow as pa
-    from ray.data.aggregate import Min, Sum
 
     from ..core.codec import encode_image, synth_pixels
-    from .common import (
-        SMALL_COMBINE_ROWS, combine_small, table_num_rows, table_spread,
-    )
+    from .common import bucketed_group_agg, table_spread
 
     ds = table_spread(sf_dir, "documents", ["doc_id"])
 
@@ -925,29 +921,15 @@ def image_exact_dedup_bytes(sf_dir: str):
             .rename_columns(["digest", "keeper", "group_size"])
         )
 
-    partials = ds.map_batches(build_hash, batch_format="pyarrow", batch_size=256)
-
-    def final(t: pa.Table) -> pa.Table:
-        agg = (
-            pa.TableGroupBy(t, "digest")
-            .aggregate([("keeper", "min"), ("group_size", "sum")])
-            .rename_columns(["digest", "keeper", "group_size"])
-        )
-        return agg.select(["keeper", "group_size"])  # digest not SQL-expressible
-
-    if table_num_rows(sf_dir, "documents") <= SMALL_COMBINE_ROWS:
-        return combine_small(partials, final)
     # digest is near-unique → bucket-sharded combine (common.py) instead
-    # of Dataset.aggregate's per-distinct-key Python reduce
-    from .common import bucketed_group_agg
-
+    # of Dataset.aggregate's per-distinct-key Python reduce; the digest is
+    # not SQL-expressible, so it is dropped from the result
     return bucketed_group_agg(
-        partials,
+        ds.map_batches(build_hash, batch_format="pyarrow", batch_size=256),
         ["digest"],
         lambda g: g.groupby("digest", as_index=False).agg(
             keeper=("keeper", "min"), group_size=("group_size", "sum")
         )[["keeper", "group_size"]],
-        approx_rows=table_num_rows(sf_dir, "documents"),
     )
 
 
@@ -992,10 +974,9 @@ FROM best WHERE rn = 1
 def image_dup_keep_best_caption(sf_dir: str):
     import numpy as np
     import pandas as pd
-    import pyarrow as pa
 
     from ..core.codec import encode_image, synth_pixels
-    from .common import SMALL_COMBINE_ROWS, combine_small, table_num_rows
+    from .common import bucketed_group_agg
 
     ds = table_spread(sf_dir, "documents", ["doc_id", "text"])
 
@@ -1049,18 +1030,7 @@ def image_dup_keep_best_caption(sf_dir: str):
             }
         )
 
-    if table_num_rows(sf_dir, "documents") <= SMALL_COMBINE_ROWS:
-        return combine_small(
-            partials, lambda t: pa.Table.from_pandas(
-                final_pd(t.to_pandas()), preserve_index=False
-            )
-        )
-    from .common import bucketed_group_agg
-
-    return bucketed_group_agg(
-        partials, ["digest"], final_pd,
-        approx_rows=table_num_rows(sf_dir, "documents"),
-    )
+    return bucketed_group_agg(partials, ["digest"], final_pd)
 
 
 # --------------------------------------------------------------------------

@@ -69,30 +69,18 @@ def exact_dedup_by_hash(sf_dir: str):
             .rename_columns(["content_hash", "keeper", "group_size"])
         )
 
-    partials = ds.map_batches(hash_partial, batch_format="pyarrow")
-    n_docs = table_num_rows(sf_dir, "documents")
-    if n_docs <= SMALL_COMBINE_ROWS:
-        # ≤2M docs → partial rows are ≤2M 48-byte tuples: one local Arrow
-        # combine beats the sort-shuffle groupby's fixed cost
-        note_path("exact_dedup_by_hash", "combine_small")
-        return combine_small(
-            partials,
-            lambda t: pa.TableGroupBy(t, "content_hash")
-            .aggregate([("keeper", "min"), ("group_size", "sum")])
-            .rename_columns(["content_hash", "keeper", "group_size"]),
-        )
     # content_hash is near-unique (~1 row/key) — exactly the cardinality
     # regime where groupby().aggregate()'s per-key Python reduce degrades
     # (see bucketed_group_agg), so the final combine is bucket-sharded
-    note_path("exact_dedup_by_hash", "distributed_groupby")
-
     def combine_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("content_hash", as_index=False).agg(
             keeper=("keeper", "min"), group_size=("group_size", "sum")
         )
 
     return bucketed_group_agg(
-        partials, ["content_hash"], combine_bucket, approx_rows=n_docs
+        ds.map_batches(hash_partial, batch_format="pyarrow"),
+        ["content_hash"],
+        combine_bucket,
     )
 
 
@@ -398,7 +386,7 @@ def minhash_lsh_candidates(sf_dir: str):
         ).drop_duplicates()
 
     pairs = bucketed_group_agg(
-        bands, ["band_hash"], bucket_pairs_vec, approx_rows=n_band_rows
+        bands, ["band_hash"], bucket_pairs_vec
     ).materialize()  # pair rows stay distributed in the object store
     n_pairs = pairs.count()  # free on a materialized dataset
     if n_pairs <= LSH_PAIR_FUNNEL_MAX_PAIRS:
@@ -431,10 +419,7 @@ def minhash_lsh_candidates(sf_dir: str):
     # the verification texts arrive by Dataset.join on doc_id per side —
     # the same gate pattern as minhash_dedup_clusters' 5M-pair branch.
     note_path("minhash_lsh_candidates", "distributed+join")
-    uniq = bucketed_group_agg(
-        pairs, ["a", "b"], lambda g: g.drop_duplicates(),
-        approx_rows=n_pairs,
-    )
+    uniq = bucketed_group_agg(pairs, ["a", "b"], lambda g: g.drop_duplicates())
     docs = table(sf_dir, "documents", ["doc_id", "text"])
     with_a = uniq.join(
         docs, join_type="inner", num_partitions=join_partitions(),
@@ -651,10 +636,7 @@ def simhash_dedup_groups(sf_dir: str):
             keeper=("doc_id", "min"), group_size=("doc_id", "size")
         )
 
-    return bucketed_group_agg(
-        sim, ["simhash"], combine_bucket,
-        approx_rows=table_num_rows(sf_dir, "documents"),
-    )
+    return bucketed_group_agg(sim, ["simhash"], combine_bucket)
 
 
 _SIMHASH_TOKEN_CACHE: dict[str, int] = {}  # per worker process
@@ -1087,7 +1069,6 @@ def _bloom_maybe(bits: np.ndarray, h: np.ndarray,
 @register("incremental_novelty_dedup", sql=_NOVELTY_SQL)
 def incremental_novelty_dedup(sf_dir: str):
     ds = table_spread(sf_dir, "events", ["event_id", "user_id", "props"])
-    n_rows = table_num_rows(sf_dir, "events")
 
     # ONE scan of the wide input: hash (user_id, props) per row, keep only
     # (h uint64, is_old bool) — 9 B/row. Materializing this intermediate
@@ -1144,31 +1125,13 @@ def incremental_novelty_dedup(sf_dir: str):
 
     tagged = tagged.map_batches(verify_rows, batch_format="pyarrow")
 
-    if n_rows <= SMALL_COMBINE_ROWS:
-        # under the gate the survivors are ≤2M 9-B rows — one local
-        # sorted-array membership beats the groupby exchange's multi-
-        # second fixed cost (same gate exact_dedup_by_hash uses)
-        note_path("incremental_novelty_dedup", "combine_small")
+    def bucket_known(g: pd.DataFrame) -> pd.DataFrame:
+        old_h = g.loc[g["is_old"], "h"].unique()
+        known = int(g.loc[~g["is_old"], "h"].isin(old_h).sum())
+        return pd.DataFrame({"known": [known]})
 
-        def count_known(t: pa.Table):
-            is_old = t["is_old"].to_numpy(zero_copy_only=False)
-            h = t["h"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            old_sorted = np.unique(h[is_old])
-            return int(_isin_sorted(old_sorted, h[~is_old]).sum())
-
-        n_known = combine_small(tagged, count_known)
-    else:
-        note_path("incremental_novelty_dedup", "distributed")
-
-        def bucket_known(g: pd.DataFrame) -> pd.DataFrame:
-            old_h = g.loc[g["is_old"], "h"].unique()
-            known = int(g.loc[~g["is_old"], "h"].isin(old_h).sum())
-            return pd.DataFrame({"known": [known]})
-
-        parts = bucketed_group_agg(
-            tagged, ["h"], bucket_known, approx_rows=n_rows,
-        ).to_pandas()
-        n_known = int(parts["known"].sum())
+    parts = bucketed_group_agg(tagged, ["h"], bucket_known).to_pandas()
+    n_known = int(parts["known"].sum())
     return pa.table(
         {
             "n_new": pa.array([n_new], pa.int64()),
@@ -1658,7 +1621,6 @@ FROM r GROUP BY doc_id
 @register("repeated_paragraph_dedup", sql=_PARA_DEDUP_SQL)
 def repeated_paragraph_dedup(sf_dir: str):
     docs = table_spread(sf_dir, "documents", ["doc_id", "text"])
-    n_docs = table_num_rows(sf_dir, "documents")
 
     def para_rows(t: pa.Table) -> pa.Table:
         rx = _word_re()
@@ -1703,10 +1665,7 @@ def repeated_paragraph_dedup(sf_dir: str):
         )
         return out.groupby("doc_id", as_index=False).sum()
 
-    partials = bucketed_group_agg(
-        paras, ["para_h"], bucket_winners,
-        approx_rows=max(n_docs * 8, 1),
-    )
+    partials = bucketed_group_agg(paras, ["para_h"], bucket_winners)
 
     def sum_doc(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("doc_id", as_index=False).agg(
@@ -1715,8 +1674,7 @@ def repeated_paragraph_dedup(sf_dir: str):
             n_words_kept=("n_words_kept", "sum"),
         )
 
-    out = bucketed_group_agg(partials, ["doc_id"], sum_doc,
-                             approx_rows=n_docs)
+    out = bucketed_group_agg(partials, ["doc_id"], sum_doc)
 
     def cast_out(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

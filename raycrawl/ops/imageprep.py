@@ -558,9 +558,8 @@ def image_phash_band_lsh_pairs(sf_dir: str):
     popcount emits in-radius pairs — from the FIRST shared band only
     (earlier-band equality recheck is local arithmetic on the two
     hashes), so pairs are globally distinct without a dedup shuffle."""
-    from .common import bucketed_group_agg, table_num_rows
+    from .common import bucketed_group_agg
 
-    n_rows = table_num_rows(sf_dir, "documents")
     ds = table(sf_dir, "documents", ["doc_id"])
 
     def bands(t: pa.Table) -> pa.Table:
@@ -622,9 +621,7 @@ def image_phash_band_lsh_pairs(sf_dir: str):
         )
 
     band_rows = ds.map_batches(bands, batch_format="pyarrow")
-    return bucketed_group_agg(
-        band_rows, ["band_key"], pairs_in_bucket, approx_rows=4 * n_rows
-    )
+    return bucketed_group_agg(band_rows, ["band_key"], pairs_in_bucket)
 
 
 # --------------------------------------------------------------------------
@@ -660,9 +657,8 @@ def image_phash_best_resolution(sf_dir: str):
     group per image) → ``bucketed_group_agg``; dims come from the payload
     schema (input_hint w/h), recomputed here from doc_id like every
     imageprep op so the SQL side replays them."""
-    from .common import bucketed_group_agg, table_num_rows
+    from .common import bucketed_group_agg
 
-    n_rows = table_num_rows(sf_dir, "documents")
     ds = table(sf_dir, "documents", ["doc_id"])
 
     def rows(t: pa.Table) -> pa.Table:
@@ -699,7 +695,6 @@ def image_phash_best_resolution(sf_dir: str):
         ds.map_batches(rows, batch_format="pyarrow"),
         ["phash"],
         best_in_bucket,
-        approx_rows=n_rows,
     )
 
 
@@ -1008,7 +1003,6 @@ FROM r GROUP BY 1, 2, 3
 def image_train_batch_packing(sf_dir: str):
     from .common import bucketed_group_agg
 
-    n_rows = table_num_rows(sf_dir, "documents")
     ds = table(sf_dir, "documents", ["doc_id"])
 
     bucket_names = np.asarray(_ASPECT_BUCKETS, dtype=object)
@@ -1046,5 +1040,4 @@ def image_train_batch_packing(sf_dir: str):
         ds.map_batches(keyed, batch_format="pyarrow"),
         ["bucket", "shard"],
         pack_group,
-        approx_rows=n_rows,
     )

@@ -215,49 +215,24 @@ def top_revenue_orders(sf_dir: str):
         partial, batch_format="pyarrow"
     )
 
-    if table_num_rows(sf_dir, "lineitem") <= SMALL_COMBINE_ROWS:
-        # orderkey-cardinality ≤ lineitem rows ≤ the gate: lineitem rows of
-        # one order are adjacent, so the per-block combine already collapsed
-        # ~4x and only boundary keys are split — one local Arrow combine
-        # replaces Ray's sort-shuffle groupby (fixed ~3 s saved locally)
-        comb = combine_small(
-            partials,
-            lambda t: pa.TableGroupBy(t, "l_orderkey")
-            .aggregate([("rev_c", "sum")])
-            .rename_columns(["l_orderkey", "rev_c"]),
+    # near-unique l_orderkey → bucket-sharded combine
+    # (common.bucketed_group_agg), then top-k WITHOUT a global sort: each
+    # bucket keeps its local top-10, the ≤10×buckets survivors merge on
+    # the driver
+    def bucket_top(g: pd.DataFrame) -> pd.DataFrame:
+        rev = g.groupby("l_orderkey", as_index=False).agg(
+            rev_c=("rev_c", "sum")
         )
-        order = pc.sort_indices(
-            comb, sort_keys=[("rev_c", "descending"), ("l_orderkey", "ascending")]
-        )
-        top = comb.take(order[:10]).to_pandas()
-    else:
-        # beyond the gate: bucket-sharded combine (l_orderkey is a
-        # near-unique key — Dataset.aggregate's per-key Python reduce
-        # degrades with distinct-key count, see common.bucketed_group_agg),
-        # then top-k WITHOUT a global sort — each combine block keeps its
-        # local top-10, the ≤10×blocks survivors merge on the driver
-        rev = bucketed_group_agg(
-            partials,
-            ["l_orderkey"],
-            lambda g: g.groupby("l_orderkey", as_index=False).agg(
-                rev_c=("rev_c", "sum")
-            ),
-            approx_rows=table_num_rows(sf_dir, "lineitem"),
-        )
+        return rev.sort_values(
+            ["rev_c", "l_orderkey"], ascending=[False, True]
+        ).head(10)
 
-        def local_top(t: pa.Table) -> pa.Table:
-            order = pc.sort_indices(
-                t,
-                sort_keys=[("rev_c", "descending"), ("l_orderkey", "ascending")],
-            )
-            return t.take(order[:10])
-
-        top = (
-            rev.map_batches(local_top, batch_format="pyarrow")
-            .to_pandas()
-            .sort_values(["rev_c", "l_orderkey"], ascending=[False, True])
-            .head(10)
-        )
+    top = (
+        bucketed_group_agg(partials, ["l_orderkey"], bucket_top)
+        .to_pandas()
+        .sort_values(["rev_c", "l_orderkey"], ascending=[False, True])
+        .head(10)
+    )
     keys = set(top["l_orderkey"])
     pri = (
         table(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
@@ -438,7 +413,6 @@ def hourly_user_windows(sf_dir: str):
         lambda g: g.groupby(["user_id", "window_start"], as_index=False).agg(
             n=("value_c", "size"), value_c=("value_c", "sum")
         ),
-        approx_rows=table_num_rows(sf_dir, "events"),
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -517,7 +491,6 @@ def lineitem_global_stats(sf_dir: str):
 )
 def exact_dedup_docs(sf_dir: str):
     ds = table(sf_dir, "documents", ["doc_id", "text"])
-    n_docs = table_num_rows(sf_dir, "documents")
 
     def partial(t: pa.Table) -> pa.Table:
         return (
@@ -526,29 +499,15 @@ def exact_dedup_docs(sf_dir: str):
             .rename_columns(["text", "doc_id", "n_dups"])
         )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    # key = the full text, so partial rows carry document bytes — gate the
-    # local combine far lower than SMALL_COMBINE_ROWS (driver memory holds
-    # partial TEXT, not 16-byte keys); beyond it, a bucket-sharded shuffle
-    # on the text (near-unique key → bucketed_group_agg, common.py)
-    if n_docs <= 100_000:
-
-        def final(t: pa.Table) -> pa.Table:
-            out = (
-                pa.TableGroupBy(t, "text")
-                .aggregate([("doc_id", "min"), ("n_dups", "sum")])
-                .rename_columns(["text", "doc_id", "n_dups"])
-            )
-            return out.select(["doc_id", "n_dups"])
-
-        return combine_small(partials, final)
+    # key = the full text, near-unique → bucket-sharded combine on the text
+    # (common.bucketed_group_agg). Its bucket bound counts rows, and these
+    # rows carry document text: one bucket can hold 2M texts.
     return bucketed_group_agg(
-        partials,
+        ds.map_batches(partial, batch_format="pyarrow"),
         ["text"],
         lambda g: g.groupby("text", as_index=False).agg(
             doc_id=("doc_id", "min"), n_dups=("n_dups", "sum")
         )[["doc_id", "n_dups"]],
-        approx_rows=n_docs,
     )
 
 
@@ -599,7 +558,7 @@ def customers_without_urgent_orders(sf_dir: str):
     FROM events GROUP BY user_id
     """,
 )
-def user_event_profile(sf_dir: str, n_buckets: int | None = None):
+def user_event_profile(sf_dir: str):
     ds = table(sf_dir, "events", ["user_id", "ts", "value", "event_type"])
 
     # partition by user bucket, aggregate every user of the bucket in ONE
@@ -616,7 +575,7 @@ def user_event_profile(sf_dir: str, n_buckets: int | None = None):
         out["n_types"] = out["n_types"].astype("int64")
         return out[["user_id", "n_events", "first_ts", "total_value", "n_types"]]
 
-    return bucketed_group_agg(ds, ["user_id"], prof_bucket, n_buckets=n_buckets)
+    return bucketed_group_agg(ds, ["user_id"], prof_bucket)
 
 
 # --------------------------------------------------------------------------
@@ -1318,8 +1277,6 @@ def local_supplier_revenue(sf_dir: str, broadcast_max: int | None = None):
     """,
 )
 def all_priority_customers(sf_dir: str):
-    import numpy as np
-
     ds = table(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -1339,43 +1296,17 @@ def all_priority_customers(sf_dir: str):
             .rename_columns(["custkey", "n_orders", "n_hit"])
         )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    def finish(t: pa.Table) -> pa.Table:
-        agg = (
-            pa.TableGroupBy(t, "custkey")
-            .aggregate([("n_orders", "sum"), ("n_hit", "sum")])
-            .rename_columns(["custkey", "n_orders", "n_hit"])
-        )
-        keep = pc.equal(agg["n_orders"], agg["n_hit"])
-        out = agg.filter(keep)
-        return pa.table(
-            {
-                "custkey": out["custkey"],
-                "n_orders": pc.cast(out["n_orders"], pa.int64()),
-            }
-        )
-
-    if table_num_rows(sf_dir, "orders") <= SMALL_COMBINE_ROWS:
-        return combine_small(partials, finish)
     # custkey is near-unique after the per-block partial → bucket-sharded
     # combine (common.bucketed_group_agg) instead of a per-key aggregate
-    agg = bucketed_group_agg(
-        partials,
-        ["custkey"],
-        lambda g: g.groupby("custkey", as_index=False).agg(
+    def finish(g: pd.DataFrame) -> pd.DataFrame:
+        agg = g.groupby("custkey", as_index=False).agg(
             n_orders=("n_orders", "sum"), n_hit=("n_hit", "sum")
-        ),
-        approx_rows=table_num_rows(sf_dir, "orders"),
-    )
-    return agg.filter(expr="n_orders == n_hit").map_batches(
-        lambda t: pa.table(
-            {
-                "custkey": t["custkey"],
-                "n_orders": pc.cast(t["n_orders"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
+        )
+        out = agg[agg["n_orders"] == agg["n_hit"]]
+        return out[["custkey", "n_orders"]].astype({"n_orders": "int64"})
+
+    return bucketed_group_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), ["custkey"], finish
     )
 
 
@@ -1492,7 +1423,6 @@ def user_distinct_props_salted(sf_dir: str):
     import numpy as np
 
     ds = table(sf_dir, "events", ["user_id", "props"])
-    n_rows = table_num_rows(sf_dir, "events")
 
     def add_salt(df: pd.DataFrame) -> pd.DataFrame:
         # hash the VALUE (not the row) so duplicate values collapse into
@@ -1518,7 +1448,6 @@ def user_distinct_props_salted(sf_dir: str):
         ds.map_batches(add_salt, batch_format="pandas"),
         ["user_id", "_salt"],
         salt_partial,
-        approx_rows=n_rows,
     )
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
@@ -1570,7 +1499,6 @@ def customer_cohort_retention(sf_dir: str):
     import numpy as np
 
     ds = table(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-    n_rows = table_num_rows(sf_dir, "orders")
 
     def to_years(t: pa.Table) -> pa.Table:
         # per-block (cust, year) dedup BEFORE the bucket exchange — a
@@ -1598,7 +1526,6 @@ def customer_cohort_retention(sf_dir: str):
         ds.map_batches(to_years, batch_format="pyarrow"),
         ["cust"],
         cohort_offsets,
-        approx_rows=n_rows,
     )
 
     def partial(t: pa.Table) -> pa.Table:
@@ -1875,7 +1802,6 @@ def orders_seasonality_index(sf_dir: str):
 def customer_order_count_distribution(sf_dir: str):
     import numpy as np
 
-    n_orders_rows = table_num_rows(sf_dir, "orders")
     n_cust_total = table_num_rows(sf_dir, "customer")
 
     def per_cust(g: pd.DataFrame) -> pd.DataFrame:
@@ -1884,7 +1810,6 @@ def customer_order_count_distribution(sf_dir: str):
 
     counts = bucketed_group_agg(
         table(sf_dir, "orders", ["o_custkey"]), ["o_custkey"], per_cust,
-        approx_rows=n_orders_rows,
     )
 
     def hist_partial(t: pa.Table) -> pa.Table:
@@ -2048,7 +1973,6 @@ def promo_revenue_by_month(sf_dir: str):
 def small_quantity_part_revenue(sf_dir: str):
     import numpy as np
 
-    n_li = table_num_rows(sf_dir, "lineitem")
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("l_partkey", as_index=False).agg(
@@ -2064,7 +1988,7 @@ def small_quantity_part_revenue(sf_dir: str):
 
     stats = bucketed_group_agg(
         table(sf_dir, "lineitem", ["l_partkey", "l_quantity"]),
-        ["l_partkey"], per_part, approx_rows=n_li,
+        ["l_partkey"], per_part,
     ).to_pandas()  # bounded: one row per part
     order = np.argsort(stats["pk"].to_numpy())
     ref = ray.put(
@@ -2143,7 +2067,6 @@ def large_volume_customers(sf_dir: str):
     from .common import round_half_away
 
     QTY = 300
-    n_li = table_num_rows(sf_dir, "lineitem")
 
     def per_order(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("l_orderkey", as_index=False)["l_quantity"].sum()
@@ -2158,7 +2081,7 @@ def large_volume_customers(sf_dir: str):
 
     surv = bucketed_group_agg(
         table(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]),
-        ["l_orderkey"], per_order, approx_rows=n_li,
+        ["l_orderkey"], per_order,
     ).to_pandas()  # bounded: >300-qty orders only (~1% of orders)
     order = np.argsort(surv["ok"].to_numpy())
     ok_s = surv["ok"].to_numpy(np.int64)[order]

@@ -162,7 +162,6 @@ def price_qty_corr_by_flag(sf_dir: str):
     """,
 )
 def cheapest_supplier_leaderboard(sf_dir: str):
-    n_li = table_num_rows(sf_dir, "lineitem")
 
     def pre(t: pa.Table) -> pa.Table:
         # map-side combine: collapse to per-(part, supp) min before the
@@ -194,7 +193,6 @@ def cheapest_supplier_leaderboard(sf_dir: str):
         .map_batches(pre, batch_format="pyarrow"),
         ["pk"],
         winner_per_part,
-        approx_rows=n_li,
     )
 
     # winner rows = one per part; per-supplier counts are a bounded
@@ -551,7 +549,6 @@ def high_balance_inactive_customers(sf_dir: str):
     """,
 )
 def user_top_event_type(sf_dir: str):
-    n_ev = table_num_rows(sf_dir, "events")
 
     def pre(t: pa.Table) -> pa.Table:
         return (
@@ -582,7 +579,6 @@ def user_top_event_type(sf_dir: str):
         .map_batches(pre, batch_format="pyarrow"),
         ["user_id"],
         mode_per_user,
-        approx_rows=n_ev,
     )
 
 
@@ -1212,7 +1208,6 @@ def qty_price_regression_by_flag(sf_dir: str):
 )
 def churned_user_event_types(sf_dir: str):
     ds = table(sf_dir, "events", ["user_id", "event_type", "ts"])
-    n_ev = table_num_rows(sf_dir, "events")
 
     def range_partial(t: pa.Table) -> pa.Table:
         us = t["ts"].to_numpy(zero_copy_only=False).astype(
@@ -1272,7 +1267,6 @@ def churned_user_event_types(sf_dir: str):
         ds.map_batches(tag_partial, batch_format="pyarrow"),
         ["user_id", "event_type"],
         churned,
-        approx_rows=n_ev,
     )
 
 

@@ -144,7 +144,6 @@ def _codepoints(s: str) -> np.ndarray:
     """,
 )
 def caption_edit_distance_neardups(sf_dir: str):
-    n_rows = table_num_rows(sf_dir, "documents")
     ds = table(sf_dir, "documents", ["doc_id", "lang", "text", "n_chars"])
 
     def block_key(t: pa.Table) -> pa.Table:
@@ -318,7 +317,6 @@ def caption_edit_distance_neardups(sf_dir: str):
         ds.map_batches(block_key, batch_format="pyarrow"),
         ["lang", "blk", "lb"],
         per_block_pairs,
-        approx_rows=n_rows,
     )
 
     def final(t: pa.Table) -> pa.Table:
@@ -360,7 +358,6 @@ _AR_MINSUP = 5
 def brand_association_rules(
     sf_dir: str, part_broadcast_max: int = PART_BROADCAST_MAX
 ):
-    n_li = table_num_rows(sf_dir, "lineitem")
     li = table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     if table_num_rows(sf_dir, "part") <= part_broadcast_max:
@@ -450,7 +447,7 @@ def brand_association_rules(
             }
         )
 
-    partials = bucketed_group_agg(ob, ["ok"], per_bucket, approx_rows=n_li)
+    partials = bucketed_group_agg(ob, ["ok"], per_bucket)
 
     def final(t: pa.Table) -> pa.Table:
         df = (
@@ -895,9 +892,6 @@ def props_value_by_event_type(sf_dir: str):
     """,
 )
 def funnel_time_to_convert(sf_dir: str):
-    import pyarrow.dataset as pads
-
-    n_rows = table_num_rows(sf_dir, "events")
     ds = table(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def stage_filter(t: pa.Table) -> pa.Table:
@@ -954,7 +948,6 @@ def funnel_time_to_convert(sf_dir: str):
         ds.map_batches(stage_filter, batch_format="pyarrow"),
         ["user_id"],
         per_bucket,
-        approx_rows=n_rows,
     )
 
     def final(t: pa.Table) -> pa.Table:

@@ -65,7 +65,7 @@ def union_name_initials(sf_dir: str):
     WHERE rnk <= 2
     """,
 )
-def top2_events_per_user(sf_dir: str, n_buckets: int | None = None):
+def top2_events_per_user(sf_dir: str):
     ds = table(sf_dir, "events", ["user_id", "event_id", "value"])
 
     # per-group top-k over a user BUCKET: one vectorized sort + cumcount
@@ -80,7 +80,7 @@ def top2_events_per_user(sf_dir: str, n_buckets: int | None = None):
         g["value"] = g["value"].round(2)
         return g[["user_id", "event_id", "value", "rnk"]]
 
-    return bucketed_group_agg(ds, ["user_id"], topk_bucket, n_buckets=n_buckets)
+    return bucketed_group_agg(ds, ["user_id"], topk_bucket)
 
 
 # --------------------------------------------------------------------------

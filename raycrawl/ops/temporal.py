@@ -29,7 +29,7 @@ from .queries import register
 # (user, ts)-lexsorted arrays — groupby(user).map_groups would pay a
 # per-group pandas call (~0.2 ms × millions of users at web scale;
 # measured 5.6 s vs 3.1 s at just 29k users). A small events stream is
-# one bucket, combined by one task; ``n_buckets`` pins the exchange.
+# one bucket, combined by one task.
 
 
 def _user_segments(uid_sorted: np.ndarray):
@@ -50,7 +50,7 @@ def _user_segments(uid_sorted: np.ndarray):
     GROUP BY e.event_id
     """,
 )
-def asof_last_purchase(sf_dir: str, n_buckets: int | None = None):
+def asof_last_purchase(sf_dir: str):
     """Backward as-of join, fully vectorized per bucket: rows lexsort by
     (user, ts, event_id); each row's purchase timestamp (or a per-user
     floor sentinel) is encoded onto its user's disjoint int64 range
@@ -87,9 +87,7 @@ def asof_last_purchase(sf_dir: str, n_buckets: int | None = None):
         result.loc[~ok, "last_purchase_ts"] = pd.NaT
         return result
 
-    return bucketed_group_agg(
-        ds, ["user_id"], asof_bucket, n_buckets=n_buckets
-    )
+    return bucketed_group_agg(ds, ["user_id"], asof_bucket)
 
 
 # --------------------------------------------------------------------------
@@ -121,7 +119,7 @@ def asof_last_purchase(sf_dir: str, n_buckets: int | None = None):
     FROM sizes GROUP BY user_id
     """,
 )
-def user_sessions_30m(sf_dir: str, n_buckets: int | None = None):
+def user_sessions_30m(sf_dir: str):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts"])
     gap_us = 30 * 60 * 1_000_000
 
@@ -154,9 +152,7 @@ def user_sessions_30m(sf_dir: str, n_buckets: int | None = None):
             }
         )
 
-    return bucketed_group_agg(
-        ds, ["user_id"], sessionize_bucket, n_buckets=n_buckets
-    )
+    return bucketed_group_agg(ds, ["user_id"], sessionize_bucket)
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +168,7 @@ def user_sessions_30m(sf_dir: str, n_buckets: int | None = None):
     FROM events
     """,
 )
-def running_event_index(sf_dir: str, n_buckets: int | None = None):
+def running_event_index(sf_dir: str):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def running_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -185,9 +181,7 @@ def running_event_index(sf_dir: str, n_buckets: int | None = None):
         prior = np.arange(len(uid_s), dtype=np.int64) - starts[urank]
         return pd.DataFrame({"event_id": eid[order], "prior_events": prior})
 
-    return bucketed_group_agg(
-        ds, ["user_id"], running_bucket, n_buckets=n_buckets
-    )
+    return bucketed_group_agg(ds, ["user_id"], running_bucket)
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +200,7 @@ def running_event_index(sf_dir: str, n_buckets: int | None = None):
     FROM events
     """,
 )
-def sliding_window_counts(sf_dir: str, n_buckets: int | None = None):
+def sliding_window_counts(sf_dir: str):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts"])
     gap_us = 30 * 60 * 1_000_000
 
@@ -229,9 +223,7 @@ def sliding_window_counts(sf_dir: str, n_buckets: int | None = None):
             {"event_id": eid[order], "n_in_window": (hi - lo).astype("int64")}
         )
 
-    return bucketed_group_agg(
-        ds, ["user_id"], window_bucket, n_buckets=n_buckets
-    )
+    return bucketed_group_agg(ds, ["user_id"], window_bucket)
 
 
 # --------------------------------------------------------------------------
@@ -254,11 +246,9 @@ def sliding_window_counts(sf_dir: str, n_buckets: int | None = None):
     FROM g GROUP BY user_id
     """,
 )
-def user_interarrival_stats(sf_dir: str, n_buckets: int | None = None):
+def user_interarrival_stats(sf_dir: str):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts"])
-    return bucketed_group_agg(
-        ds, ["user_id"], interarrival_bucket_stats, n_buckets=n_buckets
-    )
+    return bucketed_group_agg(ds, ["user_id"], interarrival_bucket_stats)
 
 
 def interarrival_bucket_stats(g: pd.DataFrame) -> pd.DataFrame:
@@ -312,7 +302,7 @@ def interarrival_bucket_stats(g: pd.DataFrame) -> pd.DataFrame:
     FROM events
     """,
 )
-def rolling_value_mean_5(sf_dir: str, n_buckets: int | None = None):
+def rolling_value_mean_5(sf_dir: str):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     W = 5
 
@@ -340,9 +330,7 @@ def rolling_value_mean_5(sf_dir: str, n_buckets: int | None = None):
             }
         )
 
-    return bucketed_group_agg(
-        ds, ["user_id"], roll_bucket, n_buckets=n_buckets
-    )
+    return bucketed_group_agg(ds, ["user_id"], roll_bucket)
 
 
 # --------------------------------------------------------------------------
@@ -364,7 +352,7 @@ def rolling_value_mean_5(sf_dir: str, n_buckets: int | None = None):
     FROM g WHERE prev_type IS NOT NULL GROUP BY prev_type, next_type
     """,
 )
-def event_type_transitions(sf_dir: str, n_buckets: int | None = None):
+def event_type_transitions(sf_dir: str):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -385,18 +373,22 @@ def event_type_transitions(sf_dir: str, n_buckets: int | None = None):
             .rename(columns={"size": "n"})
         )
 
-    partial = bucketed_group_agg(
-        ds, ["user_id"], pairs_bucket, n_buckets=n_buckets
-    )
+    partial = bucketed_group_agg(ds, ["user_id"], pairs_bucket)
 
     def final(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            # an empty events table reads as schema-less blocks, so the
+            # partial stream can arrive without its columns
+            return pa.table({"prev_type": pa.array([], pa.string()),
+                             "next_type": pa.array([], pa.string()),
+                             "n": pa.array([], pa.int64())})
         return (
             pa.TableGroupBy(t, ["prev_type", "next_type"])
             .aggregate([("n", "sum")])
             .rename_columns(["prev_type", "next_type", "n"])
         )
 
-    return final(combine_small(partial, lambda t: t))
+    return combine_small(partial, final)
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +419,7 @@ FROM f GROUP BY event_type
 
 
 @register("event_followup_5m_by_type", sql=_FOLLOW_SQL)
-def event_followup_5m_by_type(sf_dir: str, n_buckets: int | None = None):
+def event_followup_5m_by_type(sf_dir: str):
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     # offset-shift over the shared bucket infrastructure: each user's
@@ -453,11 +445,14 @@ def event_followup_5m_by_type(sf_dir: str, n_buckets: int | None = None):
             n_events=("nf", "size"), total_followups=("nf", "sum")
         )
 
-    partials = bucketed_group_agg(
-        ds, ["user_id"], follow_bucket, n_buckets=n_buckets
-    )
+    partials = bucketed_group_agg(ds, ["user_id"], follow_bucket)
 
     def finish(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:  # empty events table: see event_type_transitions
+            return pa.table({"event_type": pa.array([], pa.string()),
+                             "n_events": pa.array([], pa.int64()),
+                             "total_followups": pa.array([], pa.int64()),
+                             "avg_followups": pa.array([], pa.float64())})
         agg = t.group_by("event_type").aggregate(
             [("n_events", "sum"), ("total_followups", "sum")]
         )
@@ -567,10 +562,7 @@ _FUNNEL_STAGES = ("view", "click", "purchase")
 
 @register("user_funnel_conversion", sql=_FUNNEL_SQL)
 def user_funnel_conversion(sf_dir: str):
-    from .common import table_num_rows
-
     ds = table(sf_dir, "events", ["user_id", "event_type", "ts"])
-    n_rows = table_num_rows(sf_dir, "events")
 
     def per_user(g: pd.DataFrame) -> pd.DataFrame:
         # first-view, first-click-after-view, first-purchase-after-click
@@ -590,7 +582,7 @@ def user_funnel_conversion(sf_dir: str):
         )
 
     parts = bucketed_group_agg(
-        ds, ["user_id"], per_user, approx_rows=n_rows
+        ds, ["user_id"], per_user
     ).to_pandas()  # bounded: one row per bucket
     nv, nc, npu = (int(parts[c].sum())
                    for c in ("n_view", "n_click", "n_purchase"))

@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .common import bucketed_group_agg, round_half_away, table, table_num_rows
+from .common import bucketed_group_agg, round_half_away, table
 from .queries import register
 
 
@@ -143,7 +143,6 @@ def url_canonical_dedup_stats(sf_dir: str):
     from ..core.urltools import canonicalize_url
 
     ds = table(sf_dir, "documents", ["doc_id"])
-    n_rows = table_num_rows(sf_dir, "documents")
 
     def canon(df: pd.DataFrame) -> pd.DataFrame:
         d = df["doc_id"].to_numpy(dtype=np.int64)
@@ -166,7 +165,6 @@ def url_canonical_dedup_stats(sf_dir: str):
         ds.map_batches(canon, batch_format="pandas"),
         ["canon"],
         bucket_stats,
-        approx_rows=n_rows,
     ).to_pandas()
     n = int(parts["n"].sum())
     n_canon = int(parts["n_canon"].sum())

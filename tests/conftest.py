@@ -26,23 +26,23 @@ def ray_session():
 
 @pytest.fixture
 def force_exchange(monkeypatch):
-    """Returns a switch that sends every later unpinned
-    ``common.bucketed_group_agg`` call through the bucketed Sort exchange,
-    as a partial stream over ``ONE_TASK_COMBINE_ROWS`` would. Path-equivalence
-    tests flip it together with their own gate, so the "as at scale" side
-    ends in the exchange, not in the one combine task test data gets.
-    ``force_exchange.runs`` counts the exchanges that ran since the flip."""
+    """Returns a switch that sends every later ``common.bucketed_group_agg``
+    call through the bucketed Sort exchange, as a partial stream over
+    ``BUCKET_TARGET_ROWS`` would: ``group_buckets`` sizes each call as if
+    at least one row more than one bucket holds had arrived. Path-equivalence
+    tests flip it so the "as at scale" side ends in the exchange, not in
+    the one combine task test data gets. ``force_exchange.runs`` counts the
+    exchanges that ran since the flip."""
     from raycrawl.ops import common
 
     group_buckets = common.group_buckets
 
-    def counted(*args, **kwargs):
+    def forced(rows):
         force.runs += 1
-        return group_buckets(*args, **kwargs)
+        return group_buckets(max(rows, common.BUCKET_TARGET_ROWS + 1))
 
     def force():
-        monkeypatch.setattr(common, "ONE_TASK_COMBINE_ROWS", 0)
-        monkeypatch.setattr(common, "group_buckets", counted)
+        monkeypatch.setattr(common, "group_buckets", forced)
 
     force.runs = 0
     return force

@@ -1,6 +1,6 @@
-"""Path equivalence for the small-aggregate fast path (combine_small):
-forcing the Dataset.groupby fallback (as a 100-TB input would) must produce
-the identical result the gated local combine produces."""
+"""Path equivalence for the final combine: forcing common.bucketed_group_agg
+onto its bucketed exchange (as a 100-TB input would) must produce the
+identical result its one combine task produces."""
 
 from __future__ import annotations
 
@@ -29,12 +29,10 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
-def test_top_revenue_orders_paths_agree(ray_session, monkeypatch,
-                                        force_exchange):
+def test_top_revenue_orders_paths_agree(ray_session, force_exchange):
     from raycrawl.ops import queries as Q
 
     fast = _df(Q.REGISTRY["top_revenue_orders"]["fn"](SF))
-    monkeypatch.setattr(Q, "table_num_rows", lambda sf, name: 10**12)
     force_exchange()
     slow = _df(Q.REGISTRY["top_revenue_orders"]["fn"](SF))
     assert force_exchange.runs  # the forced side ran the exchange
@@ -44,25 +42,20 @@ def test_top_revenue_orders_paths_agree(ray_session, monkeypatch,
     )
 
 
-def test_exact_dedup_docs_paths_agree(ray_session, monkeypatch,
-                                      force_exchange):
+def test_exact_dedup_docs_paths_agree(ray_session, force_exchange):
     from raycrawl.ops import queries as Q
 
     fast = _norm(_df(Q.REGISTRY["exact_dedup_docs"]["fn"](SF)))
-    monkeypatch.setattr(Q, "table_num_rows", lambda sf, name: 10**12)
     force_exchange()
     slow = _norm(_df(Q.REGISTRY["exact_dedup_docs"]["fn"](SF)))
     assert force_exchange.runs  # the forced side ran the exchange
     pd.testing.assert_frame_equal(fast, slow)
 
 
-def test_exact_dedup_by_hash_paths_agree(ray_session, monkeypatch,
-                                         force_exchange):
-    from raycrawl.ops import dedup as D
+def test_exact_dedup_by_hash_paths_agree(ray_session, force_exchange):
     from raycrawl.ops.queries import REGISTRY
 
     fast = _norm(_df(REGISTRY["exact_dedup_by_hash"]["fn"](SF)))
-    monkeypatch.setattr(D, "table_num_rows", lambda sf, name: 10**12)
     force_exchange()
     slow = _norm(_df(REGISTRY["exact_dedup_by_hash"]["fn"](SF)))
     assert force_exchange.runs  # the forced side ran the exchange
@@ -135,7 +128,7 @@ def test_minhash_candidates_join_tail_equivalent(ray_session, monkeypatch,
 
 # Ops whose final exchange is common.bucketed_group_agg: each must match its
 # registry SQL both when the partial stream is combined by one task and
-# when the bucketed Sort exchange is forced (bound 0).
+# when the bucketed Sort exchange is forced.
 USER_OPS = (
     "asof_last_purchase", "user_sessions_30m", "running_event_index",
     "sliding_window_counts", "user_interarrival_stats",
@@ -146,10 +139,6 @@ USER_OPS = (
 EXCHANGE_OPS = USER_OPS + (
     "label_propagation", "tfidf_top_terms", "customer_urgent_order_stats",
 )
-# these two finish through combine_small, which an empty events read (all
-# blocks schema-less) hands a table without columns on either branch
-FINISHED_BY_COMBINE_SMALL = ("event_type_transitions",
-                             "event_followup_5m_by_type")
 
 
 def _compare():
@@ -184,20 +173,23 @@ def test_exchange_ops_match_sql_on_both_branches(ray_session, force_exchange,
 # rows-only op: its own one-task result). The exchange counter fails the
 # test when an op stops reaching the helper, so the list cannot go stale.
 ALSO_REACH_EXCHANGE = (
-    "brand_association_rules", "brand_type_supplier_counts",
-    "caption_edit_distance_neardups", "cheapest_supplier_leaderboard",
-    "churned_user_event_types", "crawl_caption_novelty_by_epoch",
-    "crawl_incremental_audit", "crawl_inlink_top_pages",
-    "cumulative_unique_users_daily", "customer_cohort_retention",
-    "customer_order_count_distribution", "customer_rfm_segments",
-    "doc_dedup_rate_by_source", "duplicate_span_removal_stats",
-    "event_type_user_jaccard", "events_per_minute",
-    "excess_quantity_suppliers", "feature_hash_bucket_stats",
-    "first_touch_event_share", "funnel_time_to_convert", "hourly_user_windows",
+    "all_priority_customers", "brand_association_rules",
+    "brand_type_supplier_counts", "caption_edit_distance_neardups",
+    "cheapest_supplier_leaderboard", "churned_user_event_types",
+    "crawl_caption_novelty_by_epoch", "crawl_incremental_audit",
+    "crawl_inlink_top_pages", "cumulative_unique_users_daily",
+    "customer_cohort_retention", "customer_order_count_distribution",
+    "customer_rfm_segments", "doc_dedup_rate_by_source",
+    "duplicate_span_removal_stats", "event_type_user_jaccard",
+    "events_per_minute", "excess_quantity_suppliers",
+    "feature_hash_bucket_stats", "first_touch_event_share",
+    "funnel_time_to_convert", "hourly_user_windows",
+    "image_dup_keep_best_caption", "image_exact_dedup_bytes",
     "image_phash_band_lsh_pairs", "image_phash_best_resolution",
     "image_train_batch_packing", "important_parts_revenue_share",
-    "large_volume_customers", "order_priority_exists_check",
-    "pagerank_cosuppliers", "phash_pair_psnr_verify", "pmi_top_bigrams",
+    "incremental_novelty_dedup", "large_volume_customers",
+    "order_priority_exists_check", "pagerank_cosuppliers",
+    "phash_pair_psnr_verify", "pmi_top_bigrams",
     "repeated_paragraph_dedup", "returned_item_report",
     "rolling_7d_distinct_users", "shipping_priority_topk",
     "simhash_dedup_groups", "small_quantity_part_revenue",
@@ -226,8 +218,7 @@ def test_ops_reaching_the_exchange_match_sql_on_it(ray_session,
     assert _compare()(name, got, want) == []
 
 
-@pytest.mark.parametrize(
-    "name", [q for q in USER_OPS if q not in FINISHED_BY_COMBINE_SMALL])
+@pytest.mark.parametrize("name", USER_OPS)
 def test_user_ops_on_empty_events(ray_session, tmp_path, name):
     """An empty events table reads as schema-less blocks; the one-task
     combine returns no rows for it, as the exchange does, instead of

@@ -252,10 +252,11 @@ def test_q5_join_path_equals_broadcast_path(ray_session):
 
 def test_followup_single_bucket_equals_default(ray_session):
     """The offset-shift bucketing must be exact even when every user
-    lands in one bucket (maximal cross-user adjacency)."""
+    lands in one bucket (maximal cross-user adjacency) — the default at
+    test scale, where the whole partial stream is one bucket."""
     from raycrawl.ops.temporal import event_followup_5m_by_type
 
-    got = norm(event_followup_5m_by_type(SF, n_buckets=1).to_pandas())
+    got = norm(event_followup_5m_by_type(SF).to_pandas())
     want = norm(oracle("event_followup_5m_by_type", SF))
     pd.testing.assert_frame_equal(got, want, check_exact=False, atol=0, rtol=0)
 

@@ -256,13 +256,13 @@ class TestBucketedGroupAgg:
     equivalence with a global pandas groupby, for int, string and
     composite keys, across bucket counts."""
 
-    def _run(self, df, key_cols, agg, n_buckets=None):
+    def _run(self, df, key_cols, agg):
         import ray.data as rd
 
         from raycrawl.ops.common import bucketed_group_agg
 
         ds = rd.from_pandas(df).repartition(4)
-        out = bucketed_group_agg(ds, key_cols, agg, n_buckets=n_buckets)
+        out = bucketed_group_agg(ds, key_cols, agg)
         return (
             out.to_pandas()
             .sort_values(key_cols if set(key_cols) <= set(out.schema().names)
@@ -309,17 +309,19 @@ class TestBucketedGroupAgg:
         )
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
-    def test_every_key_lands_in_exactly_one_bucket(self, ray_session):
+    def test_every_key_lands_in_exactly_one_bucket(self, ray_session,
+                                                   force_exchange):
         """The load-bearing invariant: rows of one key never split across
         buckets (a split key would double-count). Aggregating group sizes
         through the helper must reproduce the global value_counts."""
         rng = np.random.Generator(np.random.PCG64(13))
         df = pd.DataFrame({"k": rng.integers(0, 50, 10_000)})
+        force_exchange()
         got = self._run(
             df, ["k"],
             lambda g: g.groupby("k", as_index=False).agg(n=("k", "size")),
-            n_buckets=64,
         )
+        assert force_exchange.runs
         assert int(got["n"].sum()) == len(df)
         want = df["k"].value_counts().sort_index()
         assert list(got.sort_values("k")["n"]) == list(want)
@@ -327,20 +329,23 @@ class TestBucketedGroupAgg:
     def test_group_buckets_scales_with_rows(self):
         from raycrawl.ops.common import BUCKET_TARGET_ROWS, group_buckets
 
-        base = group_buckets()
-        assert base >= 8
-        assert group_buckets(approx_rows=BUCKET_TARGET_ROWS * 1000) >= 1000
+        # a stream that fits one bucket is combined by one task
+        assert group_buckets(0) == group_buckets(BUCKET_TARGET_ROWS) == 1
+        assert group_buckets(BUCKET_TARGET_ROWS + 1) >= 8
+        assert group_buckets(BUCKET_TARGET_ROWS * 1000) >= 1000
 
     # -- the exchange is chosen from the observed partial row count: a
-    # stream within ONE_TASK_COMBINE_ROWS is combined by one task, a bound
-    # of 0 forces the bucketed Sort exchange on the same input
+    # stream within BUCKET_TARGET_ROWS is combined by one task; sizing the
+    # same input as one row over it forces the bucketed Sort exchange
 
     def _both(self, ds_fn, key_cols, agg, monkeypatch):
         from raycrawl.ops import common
 
         one = common.bucketed_group_agg(ds_fn(), key_cols, agg)
+        group_buckets = common.group_buckets
         with monkeypatch.context() as m:
-            m.setattr(common, "ONE_TASK_COMBINE_ROWS", 0)
+            m.setattr(common, "group_buckets", lambda rows: group_buckets(
+                common.BUCKET_TARGET_ROWS + 1))
             ex = common.bucketed_group_agg(ds_fn(), key_cols, agg)
         return one, ex
 

@@ -197,19 +197,15 @@ def test_dup_span_join_branch_with_bloom_prefilter(ray_session):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_novelty_dedup_paths_agree(ray_session, monkeypatch, force_exchange):
-    """The gated local verify (combine_small) equals the distributed
-    bucketed exchange on the same input."""
-    from raycrawl.ops import common as C
+def test_novelty_dedup_paths_agree(ray_session, force_exchange):
+    """The one combine task equals the bucketed exchange on the same
+    input."""
     from raycrawl.ops import dedup as D
 
     fast = D.incremental_novelty_dedup(SF).to_pandas()
-    assert C.PATH_LOG["incremental_novelty_dedup"] == "combine_small"
-    monkeypatch.setattr(D, "SMALL_COMBINE_ROWS", 0)
     force_exchange()
     slow = D.incremental_novelty_dedup(SF).to_pandas()
     assert force_exchange.runs  # the forced side ran the exchange
-    assert C.PATH_LOG["incremental_novelty_dedup"] == "distributed"
     pd.testing.assert_frame_equal(fast, slow)
 
 

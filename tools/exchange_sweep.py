@@ -1,8 +1,9 @@
 """Crossover sweep of ``ops.common.bucketed_group_agg``'s two exchanges:
 the one-task combine against the bucketed Sort exchange, at several
-partial row counts. Each size is timed with the bound set so the one-task
-branch runs, then with the bound 0 (the exchange), alternating, and the
-result is materialized (not pulled to the driver).
+partial row counts. Each size is timed with ``group_buckets`` pinned to
+one bucket (the one-task branch), then sized as for a stream over
+``BUCKET_TARGET_ROWS`` (the exchange), alternating, and the result is
+materialized (not pulled to the driver).
 
 Shapes (``--shape``):
   minute    a stream shaped like ``events_per_minute``'s (minute,
@@ -105,8 +106,15 @@ def main() -> None:
         return g.groupby(["minute", "event_type"], as_index=False).agg(
             n=("n", "sum"))
 
-    def run(src, bound: int) -> tuple[float, int]:
-        common.ONE_TASK_COMBINE_ROWS = bound
+    group_buckets = common.group_buckets
+    over_one_bucket = common.BUCKET_TARGET_ROWS + 1
+
+    def run(src, exchange: bool) -> tuple[float, int]:
+        # pin the helper's one decision to the branch under test
+        common.group_buckets = (
+            (lambda rows: group_buckets(max(rows, over_one_bucket)))
+            if exchange else (lambda rows: 1)
+        )
         t = time.perf_counter()
         if args.shape == "minute":
             out = common.bucketed_group_agg(
@@ -129,14 +137,14 @@ def main() -> None:
               "os_cpu_count": os.cpu_count(),
               "affinity": len(os.sched_getaffinity(0)), "runs": {}}
     warm = source(10_000)
-    run(warm, 1 << 62)
-    run(warm, 0)
+    run(warm, False)
+    run(warm, True)
     for rows in (int(x) for x in args.rows.split(",")):
         src = source(rows)
         times = {"one_task": [], "bucketed": []}
         for _ in range(args.repeats):
-            for branch, bound in (("one_task", 1 << 62), ("bucketed", 0)):
-                s, n = run(src, bound)
+            for branch, exchange in (("one_task", False), ("bucketed", True)):
+                s, n = run(src, exchange)
                 times[branch].append(round(s, 3))
         for branch, xs in times.items():
             print(f"{rows:>9} {branch:<9} min {min(xs):6.2f} s  "

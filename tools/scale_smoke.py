@@ -1,18 +1,22 @@
 """Scale smoke (VERDICT round-2 item 5): generate an ~sf1.0-sized dataset
 under /tmp by deterministic replication of /root/testdata/sf0.1 with key
 remapping, then run the gated pipelines + the crawl over it and PROVE —
-via ops.common.PATH_LOG — that the adaptive operators take their
-DISTRIBUTED branches on real over-gate data (not monkeypatched
+via ops.common.PATH_LOG, and for ``bucketed_group_agg`` via the bucket
+count its ``group_buckets`` call returned — that the adaptive operators
+take their DISTRIBUTED branches on real over-gate data (not monkeypatched
 thresholds), finish, and satisfy cheap invariants.
 
 Crossed gates at these sizes:
-  * documents 2.05M rows  > SMALL_COMBINE_ROWS (2M)  → exact_dedup_by_hash
-    distributed groupby; > 62.5k docs → minhash_lsh_candidates distributed
-    band path (1M band-row gate).
+  * documents 2.05M rows, 1 in 500 duplicated into another part file →
+    ~2.05M exact_dedup_by_hash partial rows > BUCKET_TARGET_ROWS (2M) →
+    bucketed_group_agg takes the bucketed exchange; > 62.5k docs →
+    minhash_lsh_candidates distributed band path (1M band-row gate).
   * orders x100 → ~1.3M distinct urgent custkeys > OUTER_JOIN_BROADCAST_MAX
     (1M) → customer_urgent_order_stats LEFT OUTER Dataset.join path.
-  * lineitem x10 (6M rows) > SMALL_COMBINE_ROWS → top_revenue_orders /
-    lineitem-gated queries take their shuffle paths.
+  * lineitem x10 (6M rows) → the lineitem-keyed combines pick one task or
+    the exchange from the partial rows they observe; the JSON line's
+    "buckets" lists the bucket count of every bucketed_group_agg call per
+    query (1 = one combine task).
 
 Run:  python tools/scale_smoke.py [--dir /tmp/sf_big] [--num-cpus 32]
       (add --keep to skip regeneration when the dir already exists)
@@ -178,7 +182,7 @@ def main() -> None:
                  include_dashboard=False)
 
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from raycrawl.ops import REGISTRY
+    from raycrawl.ops import REGISTRY, common
     from raycrawl.ops.common import PATH_LOG, table_num_rows
 
     n_docs = table_num_rows(args.dir, "documents")
@@ -186,22 +190,36 @@ def main() -> None:
 
     results: dict[str, float] = {}
     checks: dict[str, bool] = {}
+    # bucketed_group_agg's branch, counted the way the tests' force_exchange
+    # fixture counts it: a wrapper around its one decision, group_buckets
+    # (1 bucket = one combine task, more = the bucketed Sort exchange)
+    buckets: dict[str, list[int]] = {}
+    calls: list[int] = []
+    group_buckets = common.group_buckets
+
+    def counted(rows: int) -> int:
+        calls.append(group_buckets(rows))
+        return calls[-1]
+
+    common.group_buckets = counted
 
     def run(name: str):
         import pandas as pd
 
+        calls.clear()
         t0 = time.perf_counter()
         out = REGISTRY[name]["fn"](args.dir)
         if not isinstance(out, pd.DataFrame):
             out = out.to_pandas()  # Dataset or pyarrow.Table
         results[name] = round(time.perf_counter() - t0, 3)
+        if calls:
+            buckets[name] = list(calls)
         print(f"# {name}: {results[name]}s, {len(out)} rows", file=sys.stderr)
         return out
 
     dd = run("exact_dedup_by_hash")
-    checks["exact_dedup_distributed"] = (
-        PATH_LOG.get("exact_dedup_by_hash") == "distributed_groupby"
-    )
+    checks["exact_dedup_distributed"] = max(
+        buckets.get("exact_dedup_by_hash", [1])) > 1
     # every doc lands in exactly one group; DUP_EVERY seeding → dup groups
     checks["exact_dedup_mass"] = int(dd["group_size"].sum()) == n_docs
     checks["exact_dedup_has_dups"] = int((dd["group_size"] > 1).sum()) > 0
@@ -767,6 +785,7 @@ def main() -> None:
         "unit": "sec",
         "queries": results,
         "paths": dict(PATH_LOG),
+        "buckets": buckets,
         "checks": checks,
         "n_docs": n_docs,
         "n_customers": n_cust,
