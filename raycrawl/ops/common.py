@@ -10,16 +10,27 @@ import pyarrow.compute as pc
 import ray.data
 
 
-def table(sf_dir: str, name: str, columns: list[str] | None = None) -> ray.data.Dataset:
-    """Column-pruned parquet read (only requested columns leave storage)."""
-    return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
+def table(sf_dir: str, name: str, columns: list[str] | None = None,
+          blocks: int = 1) -> ray.data.Dataset:
+    """Column-pruned parquet read (only requested columns leave storage),
+    sized from the footers by ``read_blocks``. One block (the default) fuses
+    the read into the first map stage: ONE task, where Ray's own split of a
+    small file (2 × CPUs blocks) turns fusion off (DESIGN §5)."""
+    n = read_blocks(table_num_rows(sf_dir, name), blocks)
+    return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns,
+                                 override_num_blocks=n)
+
+
+def read_blocks(rows: int, blocks: int) -> int | None:
+    """``blocks`` for a table that fits one block, else Ray's default."""
+    return blocks if rows <= ONE_TASK_SLICE_ROWS else None
 
 
 def table_num_rows(sf_dir: str, name: str) -> int:
-    """Row count from parquet footers only — zero data read. Used by the
-    driver-side broadcast/driver-path gates that must decide before any
-    row is read; a combine decides from the rows it observes instead
-    (``bucketed_group_agg``)."""
+    """Row count from parquet footers only — zero data read. ``table``
+    sizes its read from it, and the driver-side broadcast/driver-path gates
+    decide from it before any row is read; a combine decides from the rows
+    it observes instead (``bucketed_group_agg``)."""
     import pyarrow.dataset as pads
 
     return pads.dataset(f"{sf_dir}/{name}.parquet").count_rows()
@@ -190,7 +201,8 @@ def group_buckets(rows: int) -> int:
 # Least rows per output block of that task: a larger result is cut into
 # blocks of at least this many rows, at most one per cluster CPU, so the
 # stage after it is not one task. A map stage over one 1M-row block took
-# 0.54 s vs 0.28 s over four; at 250k rows both took 0.2 s (§2b).
+# 0.54 s vs 0.28 s over four; at 250k rows both took 0.2 s (§2b). Also the
+# most footer rows ``table`` reads as one block (read sweep: DESIGN §5).
 ONE_TASK_SLICE_ROWS = 250_000
 
 
@@ -303,26 +315,12 @@ def table_spread(
     factor: int = 2,
 ) -> ray.data.Dataset:
     """Column-pruned read for a PER-ROW-EXPENSIVE downstream stage (image
-    decode/encode, per-doc shingling): a single-file single-row-group
-    parquet arrives as ONE block, which would serialize the whole stage
-    behind one task — measured 3.9 s vs 0.9 s for the sf0.1 image ops.
-    When the reader yields fewer blocks than the cluster wants, insert a
-    metadata-only ``repartition`` (moves just the pruned key columns —
-    payload bytes don't exist yet). At scale the input is many files
-    (the smoke's 410-part directory, any real corpus) and this is a
-    no-op — gated on the FILE count so no execution is triggered."""
-    import pyarrow.dataset as pads
-
-    ds = table(sf_dir, name, columns)
+    decode/encode, per-doc shingling): a table that fits one block is read
+    as ``factor`` blocks per cluster CPU (≥ 8), split by the read task
+    itself, instead of one fused task (3.9 s vs 0.9 s for the sf0.1 image
+    ops). A larger table keeps Ray's default split (≥ 2 per CPU)."""
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    target = max(8, cpus * factor)
-    try:
-        n_files = len(pads.dataset(f"{sf_dir}/{name}.parquet").files)
-    except Exception:  # pragma: no cover - exotic datasource
-        return ds
-    if n_files >= target:
-        return ds
-    return ds.repartition(target)
+    return table(sf_dir, name, columns, blocks=max(8, cpus * factor))
 
 
 def pool_size(divisor: int = 4, floor: int = 2) -> int:

@@ -1562,6 +1562,7 @@ def crawl_merge_coverage(sf_dir: str):
 
     crawl(outs["a"], seeds[: len(seeds) // 2], max_epochs=4)
     crawl(outs["b"], seeds[len(seeds) // 2 :], max_epochs=4)
+    shutil.rmtree(outs["m"], ignore_errors=True)  # a re-run reuses the dir
     summary = merge_checkpoints(outs["a"], outs["b"], outs["m"])
     crawl(outs["m"], [], max_epochs=200, resume=True)
     crawl(outs["f"], seeds, max_epochs=200)

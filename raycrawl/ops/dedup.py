@@ -1089,6 +1089,9 @@ def incremental_novelty_dedup(sf_dir: str):
         lambda t: pa.table({"h": pc_uint64(t["h"]), "is_old": t["is_old"]}),
         batch_format="pyarrow",
     ).materialize()
+    cols = ("n_new", "n_known", "n_novel")
+    if not tagged.count():  # an empty table reads as schema-less blocks
+        return pa.table({c: pa.array([], pa.int64()) for c in cols})
 
     # Bloom partials + exact n_new from the cached 9-B rows (per-block
     # bitmap OR-merged; at >10k blocks this reduce becomes an actor tree)
@@ -1132,13 +1135,8 @@ def incremental_novelty_dedup(sf_dir: str):
 
     parts = bucketed_group_agg(tagged, ["h"], bucket_known).to_pandas()
     n_known = int(parts["known"].sum())
-    return pa.table(
-        {
-            "n_new": pa.array([n_new], pa.int64()),
-            "n_known": pa.array([n_known], pa.int64()),
-            "n_novel": pa.array([n_new - n_known], pa.int64()),
-        }
-    )
+    return pa.table({c: pa.array([v], pa.int64()) for c, v in
+                     zip(cols, (n_new, n_known, n_new - n_known))})
 
 
 def pc_uint64(arr):

@@ -183,8 +183,11 @@ def cosupplier_edges(
             )
 
         edge_tbl = combine_small(partials, expand)
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        return ray.data.from_arrow(edge_tbl).repartition(max(8, cpus))
+        # one zero-copy slice per CPU (≥ 8) as the blocks: no exchange
+        k = max(8, int(ray.cluster_resources().get("CPU", 8)))
+        step = max(1, -(-edge_tbl.num_rows // k))
+        return ray.data.from_arrow([edge_tbl.slice(lo, step) for lo in
+                                    range(0, max(1, edge_tbl.num_rows), step)])
 
     note_path("cosupplier_edges", "join")
 

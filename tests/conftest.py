@@ -46,3 +46,27 @@ def force_exchange(monkeypatch):
 
     force.runs = 0
     return force
+
+
+@pytest.fixture
+def split_reads(monkeypatch):
+    """Returns a switch that sends every later ``common.table`` read
+    through Ray's default split, as a table over ``ONE_TASK_SLICE_ROWS``
+    footer rows is read: ``read_blocks`` sizes each read as if one row more
+    than one block holds were in the footers. Every test table fits one
+    block, so without the flip no op reads more than one block and no
+    cross-block partial merge runs. ``split_reads.runs`` counts the reads
+    sized since the flip."""
+    from raycrawl.ops import common
+
+    read_blocks = common.read_blocks
+
+    def forced(rows, blocks):
+        split.runs += 1
+        return read_blocks(max(rows, common.ONE_TASK_SLICE_ROWS + 1), blocks)
+
+    def split():
+        monkeypatch.setattr(common, "read_blocks", forced)
+
+    split.runs = 0
+    return split

@@ -143,10 +143,16 @@ def test_merge_manifest_lineage(ray_session, tmp_path):
 
 def test_crawl_merge_coverage_query(ray_session):
     """The registry entry's self-reported reconciliation must hold: union
-    coverage equals the full-crawl coverage and nothing is refetched."""
+    coverage equals the full-crawl coverage and nothing is refetched. A
+    second call in the same process (same fixture dirs) gives the same
+    row instead of refusing to merge into the first call's checkpoints."""
+    from test_combine_paths import SF
+
     from raycrawl.ops import REGISTRY
 
     df = REGISTRY["crawl_merge_coverage"]["fn"]("/root/testdata/sf0.001")
+    again = REGISTRY["crawl_merge_coverage"]["fn"](SF)  # the same sf0.001
+    assert again.equals(df)
     row = df.iloc[0]
     assert bool(row["union_matches_full"])
     assert int(row["refetched"]) == 0
