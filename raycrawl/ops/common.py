@@ -28,8 +28,8 @@ def read_blocks(rows: int, blocks: int) -> int | None:
 
 def table_num_rows(sf_dir: str, name: str) -> int:
     """Row count from parquet footers only — zero data read. ``table``
-    sizes its read from it, and the driver-side broadcast/driver-path gates
-    decide from it before any row is read; a combine decides from the rows
+    sizes its read from it, and ``gate`` decides broadcast/driver paths
+    from it before any row is read; a combine decides from the rows
     it observes instead (``bucketed_group_agg``)."""
     import pyarrow.dataset as pads
 
@@ -38,9 +38,16 @@ def table_num_rows(sf_dir: str, name: str) -> int:
 
 # Input-row bound of the driver-side gates that pull a whole table (or a
 # quarter of it, for the near-dup driver paths) into one process: the
-# near-dup ``// 4`` gates in dedup.py and the ``broadcast_max`` defaults
-# of local_supplier_revenue and mlprep. Combines do not read it.
+# near-dup ``// 4`` gates in dedup.py, and local_supplier_revenue's and
+# doc_embedding_label_mix's broadcasts. Combines do not read it.
 SMALL_COMBINE_ROWS = 2_000_000
+
+# Bound of the sorted-lookup broadcasts: a key-sorted table of at most
+# this many rows (orders, customers, or per-customer counts; 17-24 B a
+# row, so at most ~24 MB) is ray.put once and probed with searchsorted
+# in every task; past it the op hash-joins that side instead. The ~sf1.0
+# scale smoke's 1.5M customers and 15M orders cross it.
+LOOKUP_BROADCAST_MAX = 1_000_000
 
 
 def combine_small(partials: ray.data.Dataset, combine_fn) -> pa.Table:
@@ -103,6 +110,15 @@ def md5_u64_le(s: str) -> int:
     return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little")
 
 
+def isin_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Vectorized membership of ``probe`` in the SORTED ``keys``; empty
+    ``keys`` match nothing (instead of indexing an empty array)."""
+    if not len(keys):
+        return np.zeros(len(probe), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    return keys[pos] == probe
+
+
 def round_half_away(x, nd: int):
     """Round half AWAY from zero, element-wise — DuckDB ROUND's tie rule
     (verified on DOUBLE: 0.5→1, 2.5→3, -2.5→-3). numpy/Python round are
@@ -141,17 +157,33 @@ def cast_cols(ds: ray.data.Dataset, spec: dict[str, pa.DataType]) -> ray.data.Da
     return ds.map_batches(_cast, batch_format="pyarrow")
 
 
-# Which adaptive branch each gated operator took on its last run
-# ("driver"/"broadcast" vs "distributed"/"join"). bucketed_group_agg's own
+# The branch every gated op took on its last run, one entry per gated
+# side: {op: {side: "small" | "distributed"}}. Written only by ``gate``;
+# read by the benchmark's traced query pass (``ops.path.<op>``) and by the
+# scale smoke (tools/scale_smoke.py), which proves the partitioned
+# branches run on real over-bound data. bucketed_group_agg's own
 # one-task-or-exchange choice is not logged here.
-# Written by note_path() at the branch point; read by the scale smoke
-# (tools/scale_smoke.py) to PROVE the distributed branches run on real
-# over-gate data, not only under monkeypatched thresholds.
-PATH_LOG: dict[str, str] = {}
+PATH_LOG: dict[str, dict[str, str]] = {}
 
 
-def note_path(op: str, path: str) -> None:
-    PATH_LOG[op] = path
+def gate(op: str, side: str, rows: int, bound: int) -> bool:
+    """THE broadcast/driver-path decision: True (the small side —
+    broadcast it, pull it to the driver, or build the bitset) when
+    ``rows`` ≤ ``bound``, else False (the partitioned side: a hash join or
+    the distributed path). ``rows`` is what the driver already holds:
+    footer rows (``table_num_rows``) or the ``count()``/``len`` of
+    something it materialized, so deciding reads no data and starts no
+    Ray work. ``side`` names what is sized ("orders", "vocab", ...): an
+    op with several gates records one decision per side in ``PATH_LOG``,
+    and a side decided again starts the op's next run there. Ops call it
+    as ``common.gate`` so that one wrapper forces every branch
+    (``force_gates`` in tests/conftest.py)."""
+    small = rows <= bound
+    sides = PATH_LOG.get(op)
+    if sides is None or side in sides:
+        sides = PATH_LOG[op] = {}
+    sides[side] = "small" if small else "distributed"
+    return small
 
 
 def join_partitions(cap_per_node: int = 16, divisor: int = 4, floor: int = 4) -> int:

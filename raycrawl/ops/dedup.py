@@ -28,13 +28,14 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from . import common
 from .common import (
     SMALL_COMBINE_ROWS,
     bucketed_group_agg,
     combine_small,
+    isin_sorted,
     join_partitions,
     md5_u64_le,
-    note_path,
     table,
     table_num_rows,
     table_spread,
@@ -191,8 +192,7 @@ def _band_hash_i64(sigs: np.ndarray) -> np.ndarray:
 # Band-row count below which the bucket-counting / pair-expansion steps run
 # driver-side (value_counts on the tiny (band_hash, doc_id) projection beats
 # Ray's shuffle fixed costs); above it, the distributed groupby path — same
-# semantics, tested for path equivalence — takes over. Module-level so tests
-# and large deployments can tune it.
+# semantics, tested for path equivalence — takes over.
 LSH_DRIVER_PATH_MAX_BAND_ROWS = 1_000_000
 
 # Candidate-pair count above which the distributed path stops funneling the
@@ -337,8 +337,8 @@ def minhash_lsh_candidates(sf_dir: str):
     # — no materialize()+count() pass pinning the band table in the object
     # store just to pick a branch.
     n_band_rows = table_num_rows(sf_dir, "documents") * N_BANDS
-    if n_band_rows <= LSH_DRIVER_PATH_MAX_BAND_ROWS:
-        note_path("minhash_lsh_candidates", "driver")
+    if common.gate("minhash_lsh_candidates", "band_rows", n_band_rows,
+                   LSH_DRIVER_PATH_MAX_BAND_ROWS):
         # driver path: band rows are ~40 B each — one to_pandas, then
         # pure-pandas bucket counting, pair expansion and Jaccard verify
         bdf = bands.to_pandas()
@@ -364,7 +364,6 @@ def minhash_lsh_candidates(sf_dir: str):
     # bucket (see bucketed_group_agg's rationale — a per-key
     # groupby(band_hash) aggregate walks 33M group boundaries in Python and
     # ran >15 min where this shape takes ~40 s)
-    note_path("minhash_lsh_candidates", "distributed")
 
     def bucket_pairs_vec(g: pd.DataFrame) -> pd.DataFrame:
         # rows of a bucket: all docs whose band_hash lands here. Keys with
@@ -389,7 +388,8 @@ def minhash_lsh_candidates(sf_dir: str):
         bands, ["band_hash"], bucket_pairs_vec
     ).materialize()  # pair rows stay distributed in the object store
     n_pairs = pairs.count()  # free on a materialized dataset
-    if n_pairs <= LSH_PAIR_FUNNEL_MAX_PAIRS:
+    if common.gate("minhash_lsh_candidates", "candidate_pairs", n_pairs,
+                   LSH_PAIR_FUNNEL_MAX_PAIRS):
         # candidate pairs are near-dups only (tiny vs the corpus);
         # cross-band repeats of the same (a, b) — ≤ N_BANDS copies — and the
         # doc-text broadcast both fit the driver comfortably at this count
@@ -418,7 +418,6 @@ def minhash_lsh_candidates(sf_dir: str):
     # Cross-band dedup is a second bucketed exchange on the pair key, and
     # the verification texts arrive by Dataset.join on doc_id per side —
     # the same gate pattern as minhash_dedup_clusters' 5M-pair branch.
-    note_path("minhash_lsh_candidates", "distributed+join")
     uniq = bucketed_group_agg(pairs, ["a", "b"], lambda g: g.drop_duplicates())
     docs = table(sf_dir, "documents", ["doc_id", "text"])
     with_a = uniq.join(
@@ -555,9 +554,10 @@ def minhash_dedup_clusters(sf_dir: str):
     pairs = list(
         zip(cand_df["a"].astype("int64"), cand_df["b"].astype("int64"))
     )
-    if len(pairs) <= CLUSTER_DRIVER_PATH_MAX_PAIRS:
+    if common.gate("minhash_dedup_clusters", "verified_pairs", len(pairs),
+                   CLUSTER_DRIVER_PATH_MAX_PAIRS):
         comp = _components_min_label(pairs)
-    else:  # exercised in tests by lowering the gate constant
+    else:
         comp = _components_distributed(cand_df[["a", "b"]])
 
     sizes: dict[int, int] = {}
@@ -835,7 +835,6 @@ def _word_re():
 def duplicate_ngram_fraction(
     sf_dir: str,
     num_partitions: int | None = None,
-    force_shuffle_path: bool | None = None,
 ):
     import pyarrow.compute as pc
 
@@ -892,11 +891,9 @@ def duplicate_ngram_fraction(
     # shuffles + a hash join (measured 8-11 s at sf0.1) with zero shuffles
     # (~2 s). Past the gate the shuffle pipeline below takes over
     # (path-equivalence tested).
-    if force_shuffle_path is None:
-        small = table_num_rows(sf_dir, "documents") <= SMALL_COMBINE_ROWS // 4
-    else:
-        small = not force_shuffle_path
-    if small:
+    if common.gate("duplicate_ngram_fraction", "documents",
+                   table_num_rows(sf_dir, "documents"),
+                   SMALL_COMBINE_ROWS // 4):
         import ray as _ray
 
         def count_partial(t: pa.Table) -> pa.Table:
@@ -1190,14 +1187,6 @@ FROM isl GROUP BY doc_id, grp
 """
 
 
-def _isin_sorted(arr: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Vectorized membership of ``vals`` in SORTED ``arr`` (empty-safe)."""
-    if not len(arr):
-        return np.zeros(len(vals), dtype=bool)
-    idx = np.searchsorted(arr, vals)
-    return (idx < len(arr)) & (arr[np.minimum(idx, len(arr) - 1)] == vals)
-
-
 def _spans_from_positions(doc_ids, positions):
     """Vectorized gaps-and-islands over (doc_id, pos) rows that are
     already sorted per doc (construction order): island boundaries are
@@ -1232,12 +1221,7 @@ DUP_SPAN_BROADCAST_MAX = 5_000_000  # sorted int64 broadcast ≈ 40 MB
 
 
 @register("duplicate_ngram_spans", sql=_DUP_SPAN_SQL)
-def duplicate_ngram_spans(
-    sf_dir: str,
-    force_shuffle_path: bool | None = None,
-    force_broadcast_flags: bool | None = None,
-    force_bloom_prefilter: bool | None = None,
-):
+def duplicate_ngram_spans(sf_dir: str):
     import pyarrow.compute as pc
 
     docs = table_spread(sf_dir, "documents", ["doc_id", "text"])
@@ -1267,13 +1251,9 @@ def duplicate_ngram_spans(
             }
         )
 
-    if force_shuffle_path is None:
-        small = table_num_rows(sf_dir, "documents") <= SMALL_COMBINE_ROWS // 4
-    else:
-        small = not force_shuffle_path
-
-    if small:
-        note_path("duplicate_ngram_spans", "broadcast")
+    op = "duplicate_ngram_spans"
+    if common.gate(op, "documents", table_num_rows(sf_dir, "documents"),
+                   SMALL_COMBINE_ROWS // 4):
         # pass 1: dup-gram set. Partials emit DISTINCT (gram, doc) PAIRS —
         # not per-batch counts — because a batch boundary can split one
         # doc's gram rows (map_batches re-batches blocks at ~1k rows), and
@@ -1309,7 +1289,7 @@ def duplicate_ngram_spans(
             arr = _ray.get(dup_ref)
             g = gram_rows(t)
             gh = g["gram_h"].to_numpy(zero_copy_only=False)
-            hit = _isin_sorted(arr, gh)
+            hit = isin_sorted(arr, gh)
             return _spans_from_positions(
                 g["doc_id"].to_numpy(zero_copy_only=False)[hit],
                 g["pos"].to_numpy(zero_copy_only=False)[hit],
@@ -1334,10 +1314,7 @@ def duplicate_ngram_spans(
 
     dup_mat = bucketed_group_agg(grams, ["gram_h"], nd_in_bucket).materialize()
 
-    if (force_broadcast_flags is True
-            or (force_broadcast_flags is None
-                and dup_mat.count() <= DUP_SPAN_BROADCAST_MAX)):
-        note_path("duplicate_ngram_spans", "shuffle+broadcast")
+    if common.gate(op, "dup_grams", dup_mat.count(), DUP_SPAN_BROADCAST_MAX):
         import ray as _ray
 
         ddf = dup_mat.to_pandas()  # bounded by the gate
@@ -1348,7 +1325,7 @@ def duplicate_ngram_spans(
         def spans_bcast(t: pa.Table) -> pd.DataFrame:
             arr = _ray.get(dup_ref)
             gh = t["gram_h"].to_numpy(zero_copy_only=False)
-            hit = _isin_sorted(arr, gh)
+            hit = isin_sorted(arr, gh)
             return _spans_from_positions(
                 t["doc_id"].to_numpy(zero_copy_only=False)[hit],
                 t["pos"].to_numpy(zero_copy_only=False)[hit],
@@ -1361,7 +1338,6 @@ def duplicate_ngram_spans(
             spans_bcast, batch_format="pyarrow", batch_size=None
         )
 
-    note_path("duplicate_ngram_spans", "shuffle+join")
     # Bloom prefilter before the join: on a real web corpus dup POSITIONS
     # are a small fraction of all gram rows, so shuffling every row into
     # the hash join wastes most of the exchange. Build a Bloom over the
@@ -1380,9 +1356,7 @@ def duplicate_ngram_spans(
     # for its pass and the rows go straight to the join.
     n_dup = dup_mat.count()
     left = grams
-    if (force_bloom_prefilter is True
-            or (force_bloom_prefilter is None
-                and n_dup <= grams.count() // 8)):
+    if common.gate(op, "bloom", n_dup, grams.count() // 8):
         m_bits = 1 << max(23, min(31, (16 * max(n_dup, 1) - 1).bit_length()))
         bits = np.zeros(m_bits // 8, dtype=np.uint8)
         for ref in dup_mat.to_arrow_refs():
@@ -1392,7 +1366,6 @@ def duplicate_ngram_spans(
                 _bloom_set(bits, keys.astype(np.int64).view(np.uint64),
                            m_bits)
         bloom_ref = ray.put(bits)
-        note_path("duplicate_ngram_spans", "shuffle+join+bloom")
 
         def bloom_prefilter(t: pa.Table) -> pa.Table:
             b = ray.get(bloom_ref)
@@ -1503,8 +1476,8 @@ def duplicate_span_removal_stats(sf_dir: str):
 
     counts = docs.map_batches(tok_counts, batch_format="pyarrow")
 
-    if rem.count() <= REMOVAL_BROADCAST_MAX:
-        note_path("duplicate_span_removal_stats", "broadcast")
+    if common.gate("duplicate_span_removal_stats", "removed_docs",
+                   rem.count(), REMOVAL_BROADCAST_MAX):
         rdf = rem.to_pandas()  # bounded by the gate
         import ray as _ray
 
@@ -1523,7 +1496,7 @@ def duplicate_span_removal_stats(sf_dir: str):
             ids, nrem = _ray.get(ref)
             did = t["doc_id"].to_numpy(zero_copy_only=False)
             nw = t["n_words"].to_numpy(zero_copy_only=False)
-            hit = _isin_sorted(ids, did)
+            hit = isin_sorted(ids, did)
             if len(ids):
                 idx = np.minimum(np.searchsorted(ids, did), len(ids) - 1)
                 nr = np.where(hit, nrem[idx], 0)
@@ -1542,7 +1515,6 @@ def duplicate_span_removal_stats(sf_dir: str):
 
         return counts.map_batches(attach, batch_format="pyarrow")
 
-    note_path("duplicate_span_removal_stats", "join")
     joined = counts.join(
         rem,
         join_type="left_outer",

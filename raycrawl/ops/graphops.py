@@ -4,10 +4,10 @@ PageRank with unrolled power iterations — the canonical "state flows
 along distributed edges" shape shared with
 ``pipelines.reference_analogs.propagate_labels``: the edge Dataset stays
 distributed for the whole loop. The node-sized rank table is broadcast
-to map tasks while it fits (≤ ``broadcast_threshold`` nodes, driver-held
-dict); beyond that it stays a distributed Dataset and each iteration is
-a hash-partitioned ``Dataset.join`` + grouped sum — no node-sized state
-ever lands on the driver. Both paths are equivalence-tested.
+to map tasks while it fits (≤ ``BROADCAST_NODE_THRESHOLD`` nodes,
+driver-held dict); beyond that it stays a distributed Dataset and each
+iteration is a hash-partitioned ``Dataset.join`` + grouped sum — no
+node-sized state ever lands on the driver. Both paths are equivalence-tested.
 
 Graph: the co-supplier graph of ``lineitem`` — an edge (a, b) whenever
 suppliers a ≠ b both ship some part. Partitioning assumption: supplier
@@ -26,12 +26,14 @@ import ray
 import ray.data
 
 
+from . import common
 from .common import (
     bucketed_group_agg,
     combine_small,
     join_partitions,
     round_half_away,
     table,
+    table_num_rows,
 )
 from .queries import register
 
@@ -87,12 +89,11 @@ COSUP_BITSET_MAX_NODES = 2_048
 def cosupplier_edges(
     sf_dir: str,
     num_partitions: int | None = None,
-    bitset_max_nodes: int = COSUP_BITSET_MAX_NODES,
 ) -> ray.data.Dataset:
     """Distinct (src, dst) supplier pairs sharing a part — both directions,
     no self-loops.
 
-    Two adaptive shapes (note_path: ``cosupplier_edges``):
+    Two adaptive shapes, picked by the ``supplier`` gate:
 
     * **bitset** (suppliers ≤ gate): one bucketed exchange on the part key
       moves the in-block-deduped 9-B (part, supp) rows; each bucket folds
@@ -108,15 +109,12 @@ def cosupplier_edges(
       expansion is the intuitive shape but pays per-group task overhead —
       2k part groups cost ~100 s on this node.)
     """
-    from .common import note_path, table_num_rows
-
     if num_partitions is None:
         num_partitions = join_partitions()
     li = table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
 
-    n_sup = table_num_rows(sf_dir, "supplier")
-    if n_sup <= bitset_max_nodes:
-        note_path("cosupplier_edges", "bitset")
+    if common.gate("cosupplier_edges", "supplier",
+                   table_num_rows(sf_dir, "supplier"), COSUP_BITSET_MAX_NODES):
         import pyarrow.dataset as pads
 
         keys = np.sort(
@@ -188,8 +186,6 @@ def cosupplier_edges(
         step = max(1, -(-edge_tbl.num_rows // k))
         return ray.data.from_arrow([edge_tbl.slice(lo, step) for lo in
                                     range(0, max(1, edge_tbl.num_rows), step)])
-
-    note_path("cosupplier_edges", "join")
 
     def batch_distinct(t: pa.Table) -> pa.Table:
         # in-block pre-dedup: collapses the ~|lineitem| stream to
@@ -265,7 +261,6 @@ def pagerank(
     edges: ray.data.Dataset,
     iterations: int = ITERATIONS,
     damping: float = DAMPING,
-    broadcast_threshold: int = BROADCAST_NODE_THRESHOLD,
     num_partitions: int | None = None,
 ):
     """Unrolled PageRank power iterations over a distributed edge Dataset.
@@ -283,7 +278,7 @@ def pagerank(
     n = deg_ds.count()
     teleport = (1.0 - damping) / n
 
-    if n <= broadcast_threshold:
+    if common.gate("pagerank", "nodes", n, BROADCAST_NODE_THRESHOLD):
         deg_tbl = combine_small(deg_ds, lambda t: t)
         deg = dict(
             zip(deg_tbl["node"].to_pylist(), deg_tbl["outd"].to_pylist())
@@ -430,16 +425,12 @@ SELECT (SELECT CAST(count(*) AS BIGINT) FROM e) AS n_edges,
 # vectorized AND+popcount — measured 96 s (wedge join, ~10^8 wedge rows)
 # vs ~5 s at 1,000 nodes. Above the gate (|V|² bits outgrow a broadcast)
 # the two-hash-join wedge-close shape runs distributed. Path equivalence
-# pytested with the gate forced to 0.
+# pytested with the gate forced partitioned.
 TRIANGLE_BITSET_MAX_NODES = 16_384  # 16k² bits = 32 MB broadcast matrix
 
 
 @register("triangle_count_cosuppliers", sql=_TRIANGLE_SQL)
-def triangle_count_cosuppliers(
-    sf_dir: str, bitset_max_nodes: int = TRIANGLE_BITSET_MAX_NODES
-):
-    from .common import note_path
-
+def triangle_count_cosuppliers(sf_dir: str):
     def orient(t: pa.Table) -> pa.Table:
         keep = t.filter(pc.less(t["src"], t["dst"]))
         return pa.table({"src": keep["src"], "dst": keep["dst"]})
@@ -474,8 +465,8 @@ def triangle_count_cosuppliers(
     np.add.at(indeg, dst_i, 1)
     n_wedges = int((indeg * outdeg).sum())
 
-    if n_nodes <= bitset_max_nodes:
-        note_path("triangle_count_cosuppliers", "bitset")
+    if common.gate("triangle_count_cosuppliers", "nodes", n_nodes,
+                   TRIANGLE_BITSET_MAX_NODES):
         words = (n_nodes + 63) // 64
         adj = np.zeros((n_nodes, words), np.uint64)
         w, b = dst_i // 64, dst_i % 64
@@ -487,9 +478,8 @@ def triangle_count_cosuppliers(
             nds, m = ray.get(adj_ref)
             a = np.searchsorted(nds, t["src"].to_numpy(zero_copy_only=False))
             c = np.searchsorted(nds, t["dst"].to_numpy(zero_copy_only=False))
-            common = m[a] & m[c]
             # SWAR popcount over the uint64 words, summed per edge
-            x = common
+            x = m[a] & m[c]
             x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
             x = (x & np.uint64(0x3333333333333333)) + (
                 (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
@@ -499,8 +489,6 @@ def triangle_count_cosuppliers(
             return pa.table({"tri": pa.array([int(cnt)], pa.int64())})
 
         tri_partials = edges.map_batches(block_tri, batch_format="pyarrow")
-        from .common import combine_small
-
         n_triangles = int(
             combine_small(
                 tri_partials,
@@ -511,7 +499,6 @@ def triangle_count_cosuppliers(
             )["tri"][0].as_py()
         )
     else:
-        note_path("triangle_count_cosuppliers", "join")
         mid = edges.map_batches(
             lambda t: t.rename_columns(["b", "c"]), batch_format="pyarrow"
         )

@@ -22,8 +22,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .common import (bucketed_group_agg, join_partitions, md5_u64_le,
-                     note_path, round_half_away, table)
+from . import common
+from .common import (LOOKUP_BROADCAST_MAX, SMALL_COMBINE_ROWS,
+                     bucketed_group_agg, join_partitions, md5_u64_le,
+                     round_half_away, table, table_num_rows)
 from .queries import register
 
 # --------------------------------------------------------------------------
@@ -249,8 +251,6 @@ def train_eval_split_counts(sf_dir: str):
 # table-sized at web scale, so this exercises Dataset.join's
 # hash-partitioned LEFT OUTER path; money is summed as integer cents.
 
-OUTER_JOIN_BROADCAST_MAX = 1_000_000  # count rows ≈ 24 B each → ≤ ~24 MB
-
 
 @register(
     "customer_urgent_order_stats",
@@ -297,8 +297,8 @@ def customer_urgent_order_stats(sf_dir: str):
     # hash-partitioned LEFT OUTER Dataset.join takes over (path equivalence
     # is pytest-checked)
     counts = counts.materialize()
-    if counts.count() <= OUTER_JOIN_BROADCAST_MAX:
-        note_path("customer_urgent_order_stats", "broadcast")
+    if common.gate("customer_urgent_order_stats", "urgent_counts",
+                   counts.count(), LOOKUP_BROADCAST_MAX):
         cdf = counts.to_pandas()
         if len(cdf) == 0:
             # no matching orders at all: an empty aggregate has no columns
@@ -341,7 +341,6 @@ def customer_urgent_order_stats(sf_dir: str):
         return cust.map_batches(lookup, fn_kwargs={"ref": ref},
                                 batch_format="pyarrow")
 
-    note_path("customer_urgent_order_stats", "distributed_join")
     joined = cust.join(
         counts,
         join_type="left_outer",
@@ -840,14 +839,11 @@ def temperature_mix_targets(sf_dir: str):
     GROUP BY d.lang, e.label
     """,
 )
-def doc_embedding_label_mix(sf_dir: str, broadcast_max: int | None = None):
-    from .common import SMALL_COMBINE_ROWS, table_num_rows
-
-    if broadcast_max is None:
-        broadcast_max = SMALL_COMBINE_ROWS
+def doc_embedding_label_mix(sf_dir: str):
     docs = table(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
 
-    if table_num_rows(sf_dir, "embeddings") <= broadcast_max:
+    if common.gate("doc_embedding_label_mix", "embeddings",
+                   table_num_rows(sf_dir, "embeddings"), SMALL_COMBINE_ROWS):
         import pyarrow.dataset as pads
 
         emb = (

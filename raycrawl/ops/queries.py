@@ -17,6 +17,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
+from . import common
 from .common import (
     SMALL_COMBINE_ROWS,
     bucketed_group_agg,
@@ -911,7 +912,7 @@ ROLLUP_BROADCAST_MAX = 50_000_000  # (custkey,nationkey) rows ≈ 12 B each
     GROUP BY ROLLUP (r.r_name, n.n_name)
     """,
 )
-def rollup_revenue(sf_dir: str, broadcast_max: int = ROLLUP_BROADCAST_MAX):
+def rollup_revenue(sf_dir: str):
     import numpy as np
 
     orders = table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -941,7 +942,8 @@ def rollup_revenue(sf_dir: str, broadcast_max: int = ROLLUP_BROADCAST_MAX):
             }
         )
 
-    if table_num_rows(sf_dir, "customer") <= broadcast_max:
+    if common.gate("rollup_revenue", "customer",
+                   table_num_rows(sf_dir, "customer"), ROLLUP_BROADCAST_MAX):
         import pyarrow.dataset as pads
 
         cust = (
@@ -968,8 +970,6 @@ def rollup_revenue(sf_dir: str, broadcast_max: int = ROLLUP_BROADCAST_MAX):
             partial, fn_kwargs={"ref": ref}, batch_format="pyarrow"
         )
     else:  # customer too big to broadcast: hash-partitioned join
-        from .common import join_partitions
-
         n_parts = join_partitions()
         cust_ds = table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
         joined = orders.join(
@@ -1126,14 +1126,9 @@ Q5_REGION = "ASIA"
     GROUP BY n.n_name
     """,
 )
-def local_supplier_revenue(sf_dir: str, broadcast_max: int | None = None):
+def local_supplier_revenue(sf_dir: str):
     import numpy as np
     import pyarrow.dataset as pads
-
-    from .common import join_partitions
-
-    if broadcast_max is None:
-        broadcast_max = SMALL_COMBINE_ROWS
 
     li = table(
         sf_dir, "lineitem",
@@ -1146,7 +1141,8 @@ def local_supplier_revenue(sf_dir: str, broadcast_max: int | None = None):
     # 8.7-24.5 s through Dataset.join at sf0.1 vs ~1-2 s broadcast); past
     # the gate the hash-partitioned join takes over (path-equivalence
     # tested).
-    if table_num_rows(sf_dir, "orders") <= broadcast_max:
+    if common.gate("local_supplier_revenue", "orders",
+                   table_num_rows(sf_dir, "orders"), SMALL_COMBINE_ROWS):
         omap = (
             pads.dataset(f"{sf_dir}/orders.parquet")
             .to_table(columns=["o_orderkey", "o_custkey"])

@@ -22,11 +22,12 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from . import common
 from .common import (
+    LOOKUP_BROADCAST_MAX,
     bucketed_group_agg,
     combine_small,
     join_partitions,
-    note_path,
     round_half_away,
     table,
     table_num_rows,
@@ -234,12 +235,11 @@ def cheapest_supplier_leaderboard(sf_dir: str):
 # --------------------------------------------------------------------------
 # Big-big conditional join matrix (TPC-H Q12 shape): per order priority,
 # how many lineitems shipped LATE (> 60 days after the order date) vs total.
-# Two fact tables meet on orderkey: below ORDERS_BROADCAST_MAX the orders
+# Two fact tables meet on orderkey: below LOOKUP_BROADCAST_MAX the orders
 # side broadcasts ONCE (ray.put of three parallel arrays, searchsorted
 # lookup per block — orderkeys are a sorted PK); above it, a hash join
 # partitioned through join_partitions(). Both paths collapse to a ≤5-row
 # matrix via fixed-cardinality partials, so nothing wide leaves the join.
-ORDERS_BROADCAST_MAX = 1_000_000  # (key, date_us, prio_code) ≈ 17 B/row
 
 
 @register(
@@ -253,9 +253,7 @@ ORDERS_BROADCAST_MAX = 1_000_000  # (key, date_us, prio_code) ≈ 17 B/row
     GROUP BY 1
     """,
 )
-def late_shipment_priority_matrix(
-    sf_dir: str, broadcast_max: int = ORDERS_BROADCAST_MAX
-):
+def late_shipment_priority_matrix(sf_dir: str):
     li = table(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
     sixty_days_us = 60 * 86_400 * 1_000_000
 
@@ -273,8 +271,8 @@ def late_shipment_priority_matrix(
             }
         )
 
-    if table_num_rows(sf_dir, "orders") <= broadcast_max:
-        note_path("late_shipment_priority_matrix", "broadcast")
+    if common.gate("late_shipment_priority_matrix", "orders",
+                   table_num_rows(sf_dir, "orders"), LOOKUP_BROADCAST_MAX):
         import pyarrow.dataset as pads
 
         od = (
@@ -308,7 +306,6 @@ def late_shipment_priority_matrix(
             partial, fn_kwargs={"ref": ref}, batch_format="pyarrow"
         )
     else:
-        note_path("late_shipment_priority_matrix", "join")
         joined = li.join(
             table(sf_dir, "orders",
                   ["o_orderkey", "o_orderdate", "o_orderpriority"]),

@@ -26,17 +26,18 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from . import common
 from .common import (
+    LOOKUP_BROADCAST_MAX,
     bucketed_group_agg,
     combine_small,
+    isin_sorted,
     join_partitions,
-    note_path,
     round_half_away,
     table,
     table_num_rows,
 )
 from .queries import register
-from .relops import ORDERS_BROADCAST_MAX
 
 _US = 86_400 * 1_000_000  # one day in microseconds
 
@@ -58,12 +59,9 @@ def _ts_us(t: pa.Table, col: str) -> np.ndarray:
 # Broadcast gates: sorted-int64-key lookup tables ship once via ray.put and
 # are probed with searchsorted inside every task. Above the gate the side
 # is genuinely large and the op switches to a partitioned hash join
-# (path-equivalence covered by tests/test_round3i.py). 1M matches the
-# repo's other broadcast gates (OUTER_JOIN_BROADCAST_MAX, and
-# ORDERS_BROADCAST_MAX, defined once in relops) and is crossed by the
-# ~sf1.0 scale smoke's 1.5M customers, so the join branches are proven on
-# real over-gate data.
-CUST_BROADCAST_MAX = 1_000_000
+# (path-equivalence covered by tests/test_round3i.py). The orders and
+# customer sides share common.LOOKUP_BROADCAST_MAX; the part side's
+# lookup rows are small enough for a larger bound.
 PART_BROADCAST_MAX = 4_000_000
 
 
@@ -96,11 +94,7 @@ LIMIT 10
 
 
 @register("shipping_priority_topk", sql=_Q3_SQL)
-def shipping_priority_topk(
-    sf_dir: str,
-    broadcast_max: int = CUST_BROADCAST_MAX,
-    orders_broadcast_max: int = ORDERS_BROADCAST_MAX,
-):
+def shipping_priority_topk(sf_dir: str):
     cut_us = int(pd.Timestamp(_Q3_CUT).value // 1_000)
 
     orders = table(
@@ -108,16 +102,13 @@ def shipping_priority_topk(
         ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
     )
 
-    ord_ref = None
-    if (table_num_rows(sf_dir, "customer") <= broadcast_max
-            and table_num_rows(sf_dir, "orders") <= orders_broadcast_max):
-        # both dimensions fit: the qualifying orders (segment ∩ early)
-        # broadcast as sorted arrays, lineitem semi-prunes against them
-        # BEFORE its exchange, and the hash join disappears entirely
-        note_path("shipping_priority_topk", "broadcast")
+    op = "shipping_priority_topk"
+    ord_ref = ord_f = None
+    if common.gate(op, "customer", table_num_rows(sf_dir, "customer"),
+                   LOOKUP_BROADCAST_MAX):
         import pyarrow.dataset as pads
 
-        seg = (
+        segk = np.sort(
             pads.dataset(f"{sf_dir}/customer.parquet")
             .to_table(
                 columns=["c_custkey"],
@@ -126,64 +117,55 @@ def shipping_priority_topk(
             .to_numpy(zero_copy_only=False)
             .astype(np.int64)
         )
-        segk = np.sort(seg)
-        od = (
-            pads.dataset(f"{sf_dir}/orders.parquet")
-            .to_table(
-                columns=["o_orderkey", "o_custkey", "o_orderdate",
-                         "o_orderpriority"],
-                filter=pc.field("o_orderdate")
-                < pd.Timestamp(_Q3_CUT).to_pydatetime(),
+        if common.gate(op, "orders", table_num_rows(sf_dir, "orders"),
+                       LOOKUP_BROADCAST_MAX):
+            # both dimensions fit: the qualifying orders (segment ∩ early)
+            # broadcast as sorted arrays, lineitem semi-prunes against
+            # them BEFORE its exchange, and the hash join disappears
+            od = (
+                pads.dataset(f"{sf_dir}/orders.parquet")
+                .to_table(
+                    columns=["o_orderkey", "o_custkey", "o_orderdate",
+                             "o_orderpriority"],
+                    filter=pc.field("o_orderdate")
+                    < pd.Timestamp(_Q3_CUT).to_pydatetime(),
+                )
+                .to_pandas()
             )
-            .to_pandas()
-        )
-        pos = np.searchsorted(segk, od["o_custkey"].to_numpy(np.int64))
-        pos_c = np.minimum(pos, max(len(segk) - 1, 0))
-        od = od[(len(segk) > 0)
-                & (segk[pos_c] == od["o_custkey"].to_numpy(np.int64))]
-        od = od.sort_values("o_orderkey")
-        prios = np.sort(od["o_orderpriority"].unique()) if len(od) else (
-            np.array([], object)
-        )
-        pcode = {p: i for i, p in enumerate(prios)}
-        ord_ref = ray.put(
-            (
-                od["o_orderkey"].to_numpy(np.int64),
-                od["o_orderdate"].astype("int64").to_numpy(),
-                od["o_orderpriority"].map(pcode).to_numpy(np.int64),
+            od = od[isin_sorted(segk, od["o_custkey"].to_numpy(np.int64))]
+            od = od.sort_values("o_orderkey")
+            prios = np.sort(od["o_orderpriority"].unique()) if len(od) else (
+                np.array([], object)
             )
-        )
-        ord_f = None
-    elif table_num_rows(sf_dir, "customer") <= broadcast_max:
-        # customer keys broadcast, orders too big → semi-filter orders
-        # map-side, hash-join the per-order revenue
-        note_path("shipping_priority_topk", "broadcast+join")
-        import pyarrow.dataset as pads
-
-        seg = (
-            pads.dataset(f"{sf_dir}/customer.parquet")
-            .to_table(
-                columns=["c_custkey"],
-                filter=pc.field("c_mktsegment") == _Q3_SEG,
-            )["c_custkey"]
-            .to_numpy(zero_copy_only=False)
-        )
-        keys_ref = ray.put(np.sort(seg.astype(np.int64)))
-
-        def filt_orders(t: pa.Table) -> pa.Table:
-            keys = ray.get(keys_ref)
-            ck = t["o_custkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(keys, ck)
-            pos[pos == len(keys)] = 0
-            in_seg = keys[pos] == ck
-            early = _ts_us(t, "o_orderdate") < cut_us
-            return t.filter(pa.array(in_seg & early)).drop_columns(
-                ["o_custkey"]
+            pcode = {p: i for i, p in enumerate(prios)}
+            ord_ref = ray.put(
+                (
+                    od["o_orderkey"].to_numpy(np.int64),
+                    od["o_orderdate"].astype("int64").to_numpy(),
+                    od["o_orderpriority"].map(pcode).to_numpy(np.int64),
+                )
             )
+        elif len(segk):
+            # customer keys broadcast, orders too big → semi-filter orders
+            # map-side, hash-join the per-order revenue
+            keys_ref = ray.put(segk)
 
-        ord_f = orders.map_batches(filt_orders, batch_format="pyarrow")
+            def filt_orders(t: pa.Table) -> pa.Table:
+                keys = ray.get(keys_ref)
+                ck = t["o_custkey"].to_numpy(zero_copy_only=False)
+                in_seg = isin_sorted(keys, ck)
+                early = _ts_us(t, "o_orderdate") < cut_us
+                return t.filter(pa.array(in_seg & early)).drop_columns(
+                    ["o_custkey"]
+                )
+
+            ord_f = orders.map_batches(filt_orders, batch_format="pyarrow")
+        else:
+            # no customer in the segment, so no order qualifies: broadcast
+            # the empty order set (a hash join with an empty side fails)
+            prios = np.array([], object)
+            ord_ref = ray.put((segk, segk, segk))
     else:
-        note_path("shipping_priority_topk", "join")
         cust = table(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).filter(
             expr=f"c_mktsegment == '{_Q3_SEG}'"
         ).select_columns(["c_custkey"])
@@ -214,9 +196,7 @@ def shipping_priority_topk(
             # the exchange — only winning orders' lines move
             okeys = ray.get(ord_ref)[0]
             lk = t["l_orderkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(okeys, lk)
-            pos_c = np.minimum(pos, max(len(okeys) - 1, 0))
-            t = t.filter(pa.array((len(okeys) > 0) & (okeys[pos_c] == lk)))
+            t = t.filter(pa.array(isin_sorted(okeys, lk)))
         rev = _cents(
             pc.multiply(
                 t["l_extendedprice"],
@@ -282,6 +262,13 @@ def shipping_priority_topk(
     def topk(t: pa.Table) -> pa.Table:
         if isinstance(t, pd.DataFrame):  # empty pandas block leak-through
             t = pa.Table.from_pandas(t, preserve_index=False)
+        if not t.num_rows:  # may be a schema-less empty block
+            return pa.table({
+                "o_orderkey": pa.array([], pa.int64()),
+                "o_orderdate": pa.array([], pa.timestamp("us")),
+                "o_orderpriority": pa.array([], pa.string()),
+                "cents": pa.array([], pa.int64()),
+            })
         idx = pc.sort_indices(
             t, sort_keys=[("cents", "descending"), ("o_orderkey", "ascending")]
         )
@@ -325,9 +312,7 @@ GROUP BY o_orderpriority
 
 
 @register("order_priority_exists_check", sql=_Q4_SQL)
-def order_priority_exists_check(
-    sf_dir: str, broadcast_max: int = ORDERS_BROADCAST_MAX
-):
+def order_priority_exists_check(sf_dir: str):
     li = table(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
     def block_max(t: pa.Table) -> pa.Table:
@@ -363,8 +348,8 @@ def order_priority_exists_check(
             }
         )
 
-    if table_num_rows(sf_dir, "orders") <= broadcast_max:
-        note_path("order_priority_exists_check", "broadcast")
+    if common.gate("order_priority_exists_check", "orders",
+                   table_num_rows(sf_dir, "orders"), LOOKUP_BROADCAST_MAX):
         import pyarrow.dataset as pads
 
         od = (
@@ -402,7 +387,6 @@ def order_priority_exists_check(
 
         return combine_small(partials, final)
 
-    note_path("order_priority_exists_check", "join")
     orders = table(
         sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]
     )
@@ -465,9 +449,7 @@ LIMIT 20
 
 
 @register("returned_item_report", sql=_Q10_SQL)
-def returned_item_report(
-    sf_dir: str, broadcast_max: int = ORDERS_BROADCAST_MAX
-):
+def returned_item_report(sf_dir: str):
     lo_us = int(pd.Timestamp(_Q10_LO).value // 1_000)
     hi_us = int(pd.Timestamp(_Q10_HI).value // 1_000)
 
@@ -486,12 +468,12 @@ def returned_item_report(
         )
         return t, rev
 
-    if table_num_rows(sf_dir, "orders") <= broadcast_max:
+    if common.gate("returned_item_report", "orders",
+                   table_num_rows(sf_dir, "orders"), LOOKUP_BROADCAST_MAX):
         # orders fit a broadcast: the R-lines map straight onto their
         # window custkey and the whole query is ONE bucketed exchange
         # (9.1 → ~3 s at sf0.1) instead of per-order agg + hash join +
         # per-customer agg
-        note_path("returned_item_report", "broadcast")
         import pyarrow.dataset as pads
 
         od = (
@@ -532,7 +514,6 @@ def returned_item_report(
 
         joined = li.map_batches(cust_cents, batch_format="pyarrow")
     else:
-        note_path("returned_item_report", "join")
 
         def returned_cents(t: pa.Table) -> pa.Table:
             t, rev = rev_cents(t)
@@ -680,9 +661,7 @@ def _q19_mask(arm: np.ndarray, size: np.ndarray, qty: np.ndarray) -> np.ndarray:
 
 
 @register("disjunctive_part_revenue", sql=_Q19_SQL)
-def disjunctive_part_revenue(
-    sf_dir: str, broadcast_max: int = PART_BROADCAST_MAX
-):
+def disjunctive_part_revenue(sf_dir: str):
     li = table(
         sf_dir, "lineitem",
         ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
@@ -703,8 +682,8 @@ def disjunctive_part_revenue(
             }
         )
 
-    if table_num_rows(sf_dir, "part") <= broadcast_max:
-        note_path("disjunctive_part_revenue", "broadcast")
+    if common.gate("disjunctive_part_revenue", "part",
+                   table_num_rows(sf_dir, "part"), PART_BROADCAST_MAX):
         import pyarrow.dataset as pads
 
         pt = (
@@ -738,7 +717,6 @@ def disjunctive_part_revenue(
 
         partials = li.map_batches(partial, batch_format="pyarrow")
     else:
-        note_path("disjunctive_part_revenue", "join")
         def brand_only(t: pa.Table) -> pa.Table:
             return t.filter(pc.is_in(t["p_brand"], value_set=pa.array(brands)))
 
@@ -801,9 +779,7 @@ FROM r
 
 
 @register("nation_yoy_revenue_growth", sql=_YOY_SQL)
-def nation_yoy_revenue_growth(
-    sf_dir: str, broadcast_max: int = CUST_BROADCAST_MAX
-):
+def nation_yoy_revenue_growth(sf_dir: str):
     import pyarrow.dataset as pads
 
     nat = (
@@ -834,8 +810,8 @@ def nation_yoy_revenue_growth(
             .rename_columns(["nk", "yr", "cents"])
         )
 
-    if table_num_rows(sf_dir, "customer") <= broadcast_max:
-        note_path("nation_yoy_revenue_growth", "broadcast")
+    if common.gate("nation_yoy_revenue_growth", "customer",
+                   table_num_rows(sf_dir, "customer"), LOOKUP_BROADCAST_MAX):
         cust = (
             pads.dataset(f"{sf_dir}/customer.parquet")
             .to_table(columns=["c_custkey", "c_nationkey"])
@@ -857,7 +833,6 @@ def nation_yoy_revenue_growth(
 
         partials = orders.map_batches(partial, batch_format="pyarrow")
     else:
-        note_path("nation_yoy_revenue_growth", "join")
         cust_ds = table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
         joined = orders.join(
             cust_ds,
@@ -1065,15 +1040,13 @@ FROM obs o
 
 
 @register("segment_priority_chi2", sql=_CHI2_SQL)
-def segment_priority_chi2(
-    sf_dir: str, broadcast_max: int = CUST_BROADCAST_MAX
-):
+def segment_priority_chi2(sf_dir: str):
     import pyarrow.dataset as pads
 
     orders = table(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
-    if table_num_rows(sf_dir, "customer") <= broadcast_max:
-        note_path("segment_priority_chi2", "broadcast")
+    if common.gate("segment_priority_chi2", "customer",
+                   table_num_rows(sf_dir, "customer"), LOOKUP_BROADCAST_MAX):
         cust = (
             pads.dataset(f"{sf_dir}/customer.parquet")
             .to_table(columns=["c_custkey", "c_mktsegment"])
@@ -1107,7 +1080,6 @@ def segment_priority_chi2(
 
         partials = orders.map_batches(partial, batch_format="pyarrow")
     else:
-        note_path("segment_priority_chi2", "join")
         cust_ds = table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
         joined = orders.join(
             cust_ds,
@@ -1774,9 +1746,7 @@ FROM r CROSS JOIN tot GROUP BY tot.t
 
 
 @register("nation_revenue_entropy", sql=_ENTROPY_SQL)
-def nation_revenue_entropy(
-    sf_dir: str, broadcast_max: int = CUST_BROADCAST_MAX
-):
+def nation_revenue_entropy(sf_dir: str):
     import pyarrow.dataset as pads
 
     orders = table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -1794,8 +1764,8 @@ def nation_revenue_entropy(
             .rename_columns(["nk", "cents"])
         )
 
-    if table_num_rows(sf_dir, "customer") <= broadcast_max:
-        note_path("nation_revenue_entropy", "broadcast")
+    if common.gate("nation_revenue_entropy", "customer",
+                   table_num_rows(sf_dir, "customer"), LOOKUP_BROADCAST_MAX):
         cust = (
             pads.dataset(f"{sf_dir}/customer.parquet")
             .to_table(columns=["c_custkey", "c_nationkey"])
@@ -1815,7 +1785,6 @@ def nation_revenue_entropy(
 
         partials = orders.map_batches(partial, batch_format="pyarrow")
     else:
-        note_path("nation_revenue_entropy", "join")
         joined = orders.join(
             table(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
             join_type="inner",

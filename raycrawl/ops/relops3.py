@@ -34,22 +34,17 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from . import common
 from .common import (
+    LOOKUP_BROADCAST_MAX,
     bucketed_group_agg,
     combine_small,
     join_partitions,
-    note_path,
     table,
     table_num_rows,
 )
 from .queries import register
-from .relops2 import (
-    CUST_BROADCAST_MAX,
-    ORDERS_BROADCAST_MAX,
-    PART_BROADCAST_MAX,
-    _cents,
-    _ts_us,
-)
+from .relops2 import PART_BROADCAST_MAX, _cents, _ts_us
 
 
 def _sorted_lookup(keys: np.ndarray, vals: np.ndarray):
@@ -64,6 +59,16 @@ def _probe(keys_sorted: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.n
     pos_c = np.minimum(pos, max(len(keys_sorted) - 1, 0))
     found = (len(keys_sorted) > 0) & (keys_sorted[pos_c] == probe)
     return pos_c, found
+
+
+def _orders_and_part_fit(op: str, sf_dir: str) -> bool:
+    """The Q8/Q9 broadcast gate: the orders AND the part lookups fit."""
+    return (
+        common.gate(op, "orders", table_num_rows(sf_dir, "orders"),
+                    LOOKUP_BROADCAST_MAX)
+        and common.gate(op, "part", table_num_rows(sf_dir, "part"),
+                        PART_BROADCAST_MAX)
+    )
 
 
 def _nation_names(sf_dir: str) -> dict[int, str]:
@@ -134,9 +139,7 @@ ORDER BY supp_nation, cust_nation, l_year
 
 
 @register("nation_pair_trade_volume", sql=_Q7_SQL)
-def nation_pair_trade_volume(
-    sf_dir: str, orders_broadcast_max: int = ORDERS_BROADCAST_MAX
-):
+def nation_pair_trade_volume(sf_dir: str):
     import pyarrow.dataset as pads
 
     names = _nation_names(sf_dir)
@@ -150,8 +153,8 @@ def nation_pair_trade_volume(
     # customers of the two nations: custkey → nationkey, sorted broadcast
     # (bounded at 2/25 of the customer table; the over-gate path below
     # never materializes it driver-side — it stays a Dataset join side)
-    if table_num_rows(sf_dir, "orders") <= orders_broadcast_max:
-        note_path("nation_pair_trade_volume", "broadcast")
+    if common.gate("nation_pair_trade_volume", "orders",
+                   table_num_rows(sf_dir, "orders"), LOOKUP_BROADCAST_MAX):
         cust = pads.dataset(f"{sf_dir}/customer.parquet").to_table(
             columns=["c_custkey", "c_nationkey"],
             filter=pc.field("c_nationkey").isin([nk1, nk2]),
@@ -189,7 +192,6 @@ def nation_pair_trade_volume(
              "l_shipdate"],
         ).map_batches(partial, batch_format="pyarrow")
     else:
-        note_path("nation_pair_trade_volume", "join")
         cust_ds = (
             table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
             .filter(expr=f"c_nationkey == {nk1} or c_nationkey == {nk2}")
@@ -343,11 +345,7 @@ ORDER BY o_year
 
 
 @register("nation_market_share", sql=_Q8_SQL)
-def nation_market_share(
-    sf_dir: str,
-    orders_broadcast_max: int = ORDERS_BROADCAST_MAX,
-    part_broadcast_max: int = PART_BROADCAST_MAX,
-):
+def nation_market_share(sf_dir: str):
     import pyarrow.dataset as pads
 
     names = _nation_names(sf_dir)
@@ -371,12 +369,7 @@ def nation_market_share(
 
     supp_ref = _supplier_nation_ref(sf_dir)
 
-    broadcast = (
-        table_num_rows(sf_dir, "orders") <= orders_broadcast_max
-        and table_num_rows(sf_dir, "part") <= part_broadcast_max
-    )
-    if broadcast:
-        note_path("nation_market_share", "broadcast")
+    if _orders_and_part_fit("nation_market_share", sf_dir):
         pk = np.sort(
             pads.dataset(f"{sf_dir}/part.parquet")
             .to_table(
@@ -443,7 +436,6 @@ def nation_market_share(
              "l_discount"],
         ).map_batches(partial, batch_format="pyarrow")
     else:
-        note_path("nation_market_share", "join")
         cust_ds = (
             table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
             .filter(
@@ -606,22 +598,13 @@ ORDER BY n_name, o_year
 
 
 @register("nation_part_profit", sql=_Q9_SQL)
-def nation_part_profit(
-    sf_dir: str,
-    orders_broadcast_max: int = ORDERS_BROADCAST_MAX,
-    part_broadcast_max: int = PART_BROADCAST_MAX,
-):
+def nation_part_profit(sf_dir: str):
     import pyarrow.dataset as pads
 
     names = _nation_names(sf_dir)
     supp_ref = _supplier_nation_ref(sf_dir)
 
-    broadcast = (
-        table_num_rows(sf_dir, "orders") <= orders_broadcast_max
-        and table_num_rows(sf_dir, "part") <= part_broadcast_max
-    )
-    if broadcast:
-        note_path("nation_part_profit", "broadcast")
+    if _orders_and_part_fit("nation_part_profit", sf_dir):
         pt = pads.dataset(f"{sf_dir}/part.parquet").to_table(
             columns=["p_partkey", "p_name", "p_retailprice"],
             filter=pc.match_substring(pc.field("p_name"), _Q9_TOKEN),
@@ -669,7 +652,6 @@ def nation_part_profit(
              "l_extendedprice", "l_discount"],
         ).map_batches(partial, batch_format="pyarrow")
     else:
-        note_path("nation_part_profit", "join")
 
         def tok_parts(t: pa.Table) -> pa.Table:
             keep = pc.match_substring(t["p_name"], _Q9_TOKEN)
@@ -824,9 +806,7 @@ _Q21_LATE_US = _Q21_LATE_DAYS * 86_400 * 1_000_000
 
 
 @register("sole_late_shipper_suppliers", sql=_Q21_SQL)
-def sole_late_shipper_suppliers(
-    sf_dir: str, orders_broadcast_max: int = ORDERS_BROADCAST_MAX
-):
+def sole_late_shipper_suppliers(sf_dir: str):
     import pyarrow.dataset as pads
 
     names = _nation_names(sf_dir)
@@ -835,8 +815,8 @@ def sole_late_shipper_suppliers(
 
     li = table(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
 
-    if table_num_rows(sf_dir, "orders") <= orders_broadcast_max:
-        note_path("sole_late_shipper_suppliers", "broadcast")
+    if common.gate("sole_late_shipper_suppliers", "orders",
+                   table_num_rows(sf_dir, "orders"), LOOKUP_BROADCAST_MAX):
         od = pads.dataset(f"{sf_dir}/orders.parquet").to_table(
             columns=["o_orderkey", "o_orderdate"]
         )
@@ -872,7 +852,6 @@ def sole_late_shipper_suppliers(
 
         ol = li.map_batches(partial, batch_format="pyarrow")
     else:
-        note_path("sole_late_shipper_suppliers", "join")
         joined = li.join(
             table(sf_dir, "orders", ["o_orderkey", "o_orderdate"]),
             join_type="inner",

@@ -43,11 +43,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from . import common
 from .common import (
     bucketed_group_agg,
     combine_small,
     join_partitions,
-    note_path,
     round_half_away,
     table,
     table_num_rows,
@@ -355,13 +355,11 @@ _AR_MINSUP = 5
     ORDER BY brand_a, brand_b
     """,
 )
-def brand_association_rules(
-    sf_dir: str, part_broadcast_max: int = PART_BROADCAST_MAX
-):
+def brand_association_rules(sf_dir: str):
     li = table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
-    if table_num_rows(sf_dir, "part") <= part_broadcast_max:
-        note_path("brand_association_rules", "broadcast")
+    if common.gate("brand_association_rules", "part",
+                   table_num_rows(sf_dir, "part"), PART_BROADCAST_MAX):
         import pyarrow.dataset as pads
 
         pt = pads.dataset(f"{sf_dir}/part.parquet").to_table(
@@ -388,7 +386,6 @@ def brand_association_rules(
 
         ob = li.map_batches(to_ob, batch_format="pyarrow")
     else:
-        note_path("brand_association_rules", "join")
         part_ds = table(sf_dir, "part", ["p_partkey", "p_brand"])
         brand_names = sorted(
             part_ds.select_columns(["p_brand"]).unique("p_brand")

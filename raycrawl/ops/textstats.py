@@ -26,6 +26,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from . import common
 from .common import (
     bucketed_group_agg,
     combine_small,
@@ -93,9 +94,7 @@ FROM p ORDER BY pmi DESC, w1, w2 LIMIT {_PMI_TOP_K}
 
 
 @register("pmi_top_bigrams", sql=_PMI_SQL)
-def pmi_top_bigrams(
-    sf_dir: str, vocab_broadcast_max: int = PMI_VOCAB_BROADCAST_MAX
-):
+def pmi_top_bigrams(sf_dir: str):
     docs = table_spread(sf_dir, "documents", ["text"])
 
     def totals(df: pd.DataFrame) -> pd.DataFrame:
@@ -160,13 +159,11 @@ def pmi_top_bigrams(
         bucket_sum_min,
     )
 
-    from .common import note_path
-
-    if uni.count() <= vocab_broadcast_max:
+    if common.gate("pmi_top_bigrams", "vocab", uni.count(),
+                   PMI_VOCAB_BROADCAST_MAX):
         # vocab fits a broadcast: candidates look their unigram counts up
         # via one sorted-array binary search per side — the two hash joins
         # disappear (measured 12.0 → ~5 s at sf0.1)
-        note_path("pmi_top_bigrams", "broadcast")
         u = uni.to_pandas().sort_values("word")
         vocab_ref = ray.put(
             (u["word"].to_numpy(object), u["c"].to_numpy(np.int64))
@@ -184,7 +181,6 @@ def pmi_top_bigrams(
 
         j = cand.map_batches(attach, batch_format="pandas")
     else:
-        note_path("pmi_top_bigrams", "join")
         u1 = uni.map_batches(
             lambda t: t.rename_columns(["w1", "c1"]), batch_format="pyarrow"
         )

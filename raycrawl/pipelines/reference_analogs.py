@@ -17,8 +17,8 @@ import pyarrow as pa
 import ray
 from ray.data.aggregate import Count
 
-from ..ops.common import (bucketed_group_agg, join_partitions, note_path,
-                          table)
+from ..ops import common
+from ..ops.common import bucketed_group_agg, join_partitions, table
 from ..ops.queries import register
 
 
@@ -243,6 +243,9 @@ def location_normalize_counts(sf_dir: str):
 # so this bounds the driver frame to a few hundred MB worst-case;
 # bigger edge sets route winners through the bucketed exchange
 _LP_DRIVER_PICK_MAX_EDGES = 5_000_000
+# label-table entries up to which each round broadcasts the labels as a
+# dict; past it the labels hash-join the edges
+_LP_BROADCAST_MAX_LABELS = 1_000_000
 
 
 def propagate_labels(
@@ -250,12 +253,11 @@ def propagate_labels(
     seed_labels: dict[int, str],
     iterations: int = 5,
     margin: int = 2,
-    broadcast_threshold: int = 1_000_000,
 ) -> pd.DataFrame:
     """Label-propagation rounds, Ray-scalable shape: the edge set stays a
     distributed Dataset for the whole loop. Each round attaches the
     neighbours' labels — via a BROADCAST vectorized ``Series.map`` while
-    the label table fits (≤ ``broadcast_threshold`` entries), via a
+    the label table fits (≤ ``_LP_BROADCAST_MAX_LABELS`` entries), via a
     hash-partitioned ``Dataset.join`` beyond that — then pre-aggregates
     per-block vote counts map-side and applies the argmax-with-margin
     rule (A4) with one vectorized cumcount/merge: driver-local while the
@@ -274,7 +276,8 @@ def propagate_labels(
     # keeps len(labels) tiny while the partial stream is huge)
     n_edges = edges.count()
     for _ in range(iterations):
-        if len(labels) <= broadcast_threshold:
+        if common.gate("label_propagation", "labels", len(labels),
+                       _LP_BROADCAST_MAX_LABELS):
             ref = ray.put(dict(labels))
             seed_ref = ray.put(set(seed_labels))
 
@@ -346,20 +349,19 @@ def propagate_labels(
             )
 
         counts = voted.map_batches(partial_counts, batch_format="pandas")
-        if n_edges <= _LP_DRIVER_PICK_MAX_EDGES:
+        if common.gate("label_propagation", "edges", n_edges,
+                       _LP_DRIVER_PICK_MAX_EDGES):
             # the pulled partial stream is ≤ one row per edge, so the
             # edge gate bounds driver memory by construction — ONE
             # driver-local vectorized pick beats a per-round Sort
             # exchange (~0.3 s of fixed all-to-all latency per
             # iteration at bench scale)
-            note_path("label_propagation", "driver_pick")
             winners = pick_winners(counts.to_pandas())
         else:
             # at scale the winner rule runs WHERE the votes live: each
             # hash bucket holds every partial of its srcs, and the driver
             # sees ≤1 row per user, never the vote matrix (smoke-proven
             # at a 1M-user edge set)
-            note_path("label_propagation", "bucketed_winners")
             winners = bucketed_group_agg(
                 counts, ["src"], pick_winners
             ).to_pandas()

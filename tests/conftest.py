@@ -70,3 +70,48 @@ def split_reads(monkeypatch):
 
     split.runs = 0
     return split
+
+
+@pytest.fixture
+def force_gates(monkeypatch):
+    """Records every ``common.gate`` decision and returns a switch that
+    forces later ones: ``force_gates(False)`` sends every gate to its
+    partitioned side, as rows one over its bound would;
+    ``force_gates(True)`` sends it to its small side (broadcast, driver,
+    bitset); ``force_gates(small, "orders", ...)`` forces only the named
+    sides and leaves the rest to decide from their rows. Calls add up, so
+    different sides can be forced different ways; ``force_gates(None)``
+    lifts every forcing. The real ``gate`` still decides, on the forced
+    row count, so ``PATH_LOG`` is written as usual.
+    ``force_gates.seen`` lists the ``(op, side, rows, bound, small)``
+    decisions, with the observed rows, made since the last switch (or the
+    fixture's start); ``force_gates.sides(op)`` maps each side of ``op``
+    to its last decision there."""
+    from raycrawl.ops import common
+
+    gate = common.gate
+    forced: dict = {}
+
+    def recorded(op, side, rows, bound):
+        small = forced.get(side, forced.get(None))
+        at = rows
+        if small is not None:
+            at = min(rows, bound) if small else max(rows, bound + 1)
+        decided = gate(op, side, at, bound)
+        force.seen.append((op, side, rows, bound, decided))
+        return decided
+
+    def force(small, *sides):
+        if small is None:
+            forced.clear()
+        for side in sides or (None,):
+            forced[side] = small
+        force.seen.clear()
+
+    def sides(op):
+        return {s: small for o, s, _, _, small in force.seen if o == op}
+
+    force.seen = []
+    force.sides = sides
+    monkeypatch.setattr(common, "gate", recorded)
+    return force

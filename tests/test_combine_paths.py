@@ -87,16 +87,18 @@ def test_union_find_min_label():
 
 
 def test_minhash_cluster_distributed_components_equivalent(
-    ray_session, monkeypatch, force_exchange
+    ray_session, force_gates, force_exchange
 ):
-    from raycrawl.ops import dedup as D
     from raycrawl.ops.queries import REGISTRY
 
-    fast = _norm(_df(REGISTRY["minhash_dedup_clusters"]["fn"](SF)))
-    monkeypatch.setattr(D, "CLUSTER_DRIVER_PATH_MAX_PAIRS", -1)
+    op = "minhash_dedup_clusters"
+    fast = _norm(_df(REGISTRY[op]["fn"](SF)))
+    assert force_gates.sides(op) == {"verified_pairs": True}
+    force_gates(False, "verified_pairs")
     force_exchange()
-    slow = _norm(_df(REGISTRY["minhash_dedup_clusters"]["fn"](SF)))
+    slow = _norm(_df(REGISTRY[op]["fn"](SF)))
     assert force_exchange.runs  # the forced side ran the exchange
+    assert force_gates.sides(op) == {"verified_pairs": False}
     pd.testing.assert_frame_equal(fast, slow)
     # survivors: exactly one keeper per cluster, keeper is the min doc_id
     keepers = fast[fast["keep"]]
@@ -105,23 +107,24 @@ def test_minhash_cluster_distributed_components_equivalent(
     assert set(fast["cluster_id"]) == set(keepers["doc_id"])
 
 
-def test_minhash_candidates_join_tail_equivalent(ray_session, monkeypatch,
+def test_minhash_candidates_join_tail_equivalent(ray_session, force_gates,
                                                  force_exchange):
     """Above the pair-funnel gate the candidates op must produce the same
     verified pairs via bucketed pair-dedup + Dataset.join text fetch (no
     driver funnel) as the broadcast path does below it."""
-    from raycrawl.ops import dedup as D
-    from raycrawl.ops.common import PATH_LOG
     from raycrawl.ops.queries import REGISTRY
 
-    monkeypatch.setattr(D, "LSH_DRIVER_PATH_MAX_BAND_ROWS", -1)
+    op = "minhash_lsh_candidates"
+    force_gates(False, "band_rows")
     force_exchange()
-    fast = _norm(_df(REGISTRY["minhash_lsh_candidates"]["fn"](SF)))
-    assert PATH_LOG["minhash_lsh_candidates"] == "distributed"
-    monkeypatch.setattr(D, "LSH_PAIR_FUNNEL_MAX_PAIRS", -1)
-    slow = _norm(_df(REGISTRY["minhash_lsh_candidates"]["fn"](SF)))
+    fast = _norm(_df(REGISTRY[op]["fn"](SF)))
+    assert force_gates.sides(op) == {"band_rows": False,
+                                     "candidate_pairs": True}
+    force_gates(False, "candidate_pairs")
+    slow = _norm(_df(REGISTRY[op]["fn"](SF)))
     assert force_exchange.runs  # the forced side ran the exchange
-    assert PATH_LOG["minhash_lsh_candidates"] == "distributed+join"
+    assert force_gates.sides(op) == {"band_rows": False,
+                                     "candidate_pairs": False}
     assert len(fast) > 0  # the fixture corpus has seeded near-dups
     pd.testing.assert_frame_equal(fast, slow)
 
@@ -214,6 +217,45 @@ def test_ops_reaching_the_exchange_match_sql_on_it(ray_session,
     got = _df(REGISTRY[name]["fn"](SF))
     assert force_exchange.runs, f"{name} no longer reaches the exchange"
     if want is None:  # crawl-artifact SQL reads what the query published
+        want = oracle(name, SF)
+    assert _compare()(name, got, want) == []
+
+
+# Every registry op that reaches common.gate: with every gate forced to its
+# partitioned side (hash join, distributed path) it must still match its
+# registry SQL (a rows-only op: its own unforced result). An op that
+# records no partitioned decision fails the test, so the list cannot go
+# stale.
+GATED_OPS = (
+    "brand_association_rules", "customer_urgent_order_stats",
+    "disjunctive_part_revenue", "doc_embedding_label_mix",
+    "duplicate_ngram_fraction", "duplicate_ngram_spans",
+    "duplicate_span_removal_stats", "label_propagation",
+    "late_shipment_priority_matrix", "local_supplier_revenue",
+    "minhash_dedup_clusters", "minhash_lsh_candidates",
+    "nation_market_share", "nation_pair_trade_volume",
+    "nation_part_profit", "nation_revenue_entropy",
+    "nation_yoy_revenue_growth", "order_priority_exists_check",
+    "pagerank_cosuppliers", "pmi_top_bigrams", "returned_item_report",
+    "rollup_revenue", "segment_priority_chi2", "shipping_priority_topk",
+    "sole_late_shipper_suppliers", "triangle_count_cosuppliers",
+)
+
+
+@pytest.mark.parametrize("name", GATED_OPS)
+def test_gated_ops_match_sql_partitioned(ray_session, force_gates, name):
+    from oracle_utils import oracle
+
+    from raycrawl.ops import REGISTRY
+
+    want = None
+    if REGISTRY[name]["sql"] is None:
+        want = _df(REGISTRY[name]["fn"](SF))
+    force_gates(False)
+    got = _df(REGISTRY[name]["fn"](SF))
+    assert any(not small for *_, small in force_gates.seen), (
+        f"{name} no longer reaches a gate")
+    if want is None:
         want = oracle(name, SF)
     assert _compare()(name, got, want) == []
 

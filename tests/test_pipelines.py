@@ -319,7 +319,7 @@ class TestHLL:
 
 
 class TestLabelPropJoinPath:
-    def test_join_path_equals_broadcast_path(self, ray_session):
+    def test_join_path_equals_broadcast_path(self, ray_session, force_gates):
         """The distributed-join vote attach (used when the label table
         exceeds broadcast size) must produce identical labels."""
         import json
@@ -347,7 +347,10 @@ class TestLabelPropJoinPath:
         )
         seeds = {u: f"label{u % 3}" for u in range(9)}
         a = propagate_labels(eds, seeds)  # broadcast path
-        b = propagate_labels(eds, seeds, broadcast_threshold=0)  # join path
+        assert force_gates.sides("label_propagation")["labels"] is True
+        force_gates(False, "labels")
+        b = propagate_labels(eds, seeds)  # join path
+        assert force_gates.sides("label_propagation")["labels"] is False
         pd.testing.assert_frame_equal(
             a.reset_index(drop=True), b.reset_index(drop=True)
         )

@@ -72,7 +72,7 @@ def test_graph_and_semijoin_parity(ray_session, name):
     pd.testing.assert_frame_equal(got, want, check_exact=False, atol=0, rtol=0)
 
 
-def test_pagerank_join_path_equals_broadcast_path(ray_session):
+def test_pagerank_join_path_equals_broadcast_path(ray_session, force_gates):
     """The >threshold regime (rank state as a distributed Dataset +
     hash-join per iteration) must produce the same ranks as the broadcast
     regime."""
@@ -80,9 +80,10 @@ def test_pagerank_join_path_equals_broadcast_path(ray_session):
 
     edges = cosupplier_edges(SF)
     bc = pagerank(edges)  # broadcast regime (10 nodes)
-    jn = pagerank(
-        cosupplier_edges(SF), broadcast_threshold=0, num_partitions=1
-    )
+    assert force_gates.sides("pagerank") == {"nodes": True}
+    force_gates(False, "nodes")
+    jn = pagerank(cosupplier_edges(SF), num_partitions=1)
+    assert force_gates.sides("pagerank") == {"nodes": False}
     if not isinstance(jn, pd.DataFrame):
         jn = jn.to_pandas()
     pd.testing.assert_frame_equal(norm(bc), norm(jn))

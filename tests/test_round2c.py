@@ -30,12 +30,14 @@ def test_oracle_parity(ray_session, name):
     pd.testing.assert_frame_equal(got, want, check_exact=False, atol=0, rtol=0)
 
 
-def test_rollup_join_path_equals_broadcast_path(ray_session):
+def test_rollup_join_path_equals_broadcast_path(ray_session, force_gates):
     """Past the broadcast threshold the orders⋈customer mapping must run
     through Dataset.join and produce the identical rollup."""
     from raycrawl.ops.queries import rollup_revenue
 
-    got = norm(rollup_revenue(SF, broadcast_max=0).to_pandas())
+    force_gates(False, "customer")
+    got = norm(rollup_revenue(SF).to_pandas())
+    assert force_gates.sides("rollup_revenue") == {"customer": False}
     want = norm(oracle("rollup_revenue", SF))
     pd.testing.assert_frame_equal(got, want, check_exact=False, atol=0, rtol=0)
 
@@ -214,15 +216,18 @@ def test_star_join_and_division_parity(ray_session, name):
     pd.testing.assert_frame_equal(got, want, check_exact=False, atol=0, rtol=0)
 
 
-def test_duplicate_ngram_shuffle_path_equals_broadcast_path(ray_session):
+def test_duplicate_ngram_shuffle_path_equals_broadcast_path(ray_session,
+                                                            force_gates):
     """The at-scale groupby+join pipeline must produce the identical
     per-doc fractions as the broadcast dup-set fast path."""
     from raycrawl.ops.dedup import duplicate_ngram_fraction
 
+    op = "duplicate_ngram_fraction"
     fast = norm(duplicate_ngram_fraction(SF).to_pandas())
-    slow = norm(
-        duplicate_ngram_fraction(SF, force_shuffle_path=True).to_pandas()
-    )
+    assert force_gates.sides(op) == {"documents": True}
+    force_gates(False, "documents")
+    slow = norm(duplicate_ngram_fraction(SF).to_pandas())
+    assert force_gates.sides(op) == {"documents": False}
     pd.testing.assert_frame_equal(fast, slow)
 
 
@@ -234,18 +239,23 @@ def test_robust_and_crossmodal_parity(ray_session, name):
     pd.testing.assert_frame_equal(got, want, check_exact=False, atol=0, rtol=0)
 
 
-def test_label_mix_join_path_equals_broadcast_path(ray_session):
+def test_label_mix_join_path_equals_broadcast_path(ray_session, force_gates):
     from raycrawl.ops.mlprep import doc_embedding_label_mix
 
-    got = norm(doc_embedding_label_mix(SF, broadcast_max=0).to_pandas())
+    force_gates(False, "embeddings")
+    got = norm(doc_embedding_label_mix(SF).to_pandas())
+    assert force_gates.sides("doc_embedding_label_mix") == {
+        "embeddings": False}
     want = norm(oracle("doc_embedding_label_mix", SF))
     pd.testing.assert_frame_equal(got, want, check_exact=False, atol=0, rtol=0)
 
 
-def test_q5_join_path_equals_broadcast_path(ray_session):
+def test_q5_join_path_equals_broadcast_path(ray_session, force_gates):
     from raycrawl.ops.queries import local_supplier_revenue
 
-    got = norm(local_supplier_revenue(SF, broadcast_max=0).to_pandas())
+    force_gates(False, "orders")
+    got = norm(local_supplier_revenue(SF).to_pandas())
+    assert force_gates.sides("local_supplier_revenue") == {"orders": False}
     want = norm(oracle("local_supplier_revenue", SF))
     pd.testing.assert_frame_equal(got, want, check_exact=False, atol=0, rtol=0)
 

@@ -55,6 +55,32 @@ def test_join_sites_reference_the_helper():
         )
 
 
+def test_gates_decide_through_common_gate():
+    """Every broadcast/driver-path gate in ``raycrawl/ops`` and
+    ``raycrawl/pipelines`` decides through ``common.gate``, its only
+    writer of ``PATH_LOG``. Enforced by grep: no other module there
+    touches ``PATH_LOG``, compares ``table_num_rows(...)`` against a
+    bound, or imports ``gate`` by name (the tests' forcing wrapper
+    replaces ``common.gate`` and would miss such a binding)."""
+    compare = re.compile(r"table_num_rows\([^()]*\)\s*(<|>|==|!=)")
+    imports = re.compile(r"from\s+[.\w]*common\s+import\s*(\([^)]*\)|.*)")
+    offenders = []
+    for path in _source_files():
+        rel = os.path.relpath(path, REPO)
+        if (not rel.startswith(("raycrawl/ops/", "raycrawl/pipelines/"))
+                or rel == "raycrawl/ops/common.py"):
+            continue
+        src = open(path).read()
+        if "PATH_LOG" in src:
+            offenders.append(f"{rel}: PATH_LOG")
+        if compare.search(src):
+            offenders.append(f"{rel}: table_num_rows compared to a bound")
+        if any(re.search(r"\bgate\b", m.group(1))
+               for m in imports.finditer(src)):
+            offenders.append(f"{rel}: imports gate by name")
+    assert not offenders, f"gates bypassing common.gate: {offenders}"
+
+
 def test_join_partitions_is_node_aware(ray_session):
     from raycrawl.ops.common import join_partitions
 

@@ -120,7 +120,7 @@ def test_knn_label_recall_bounds_and_totals(registry):
 # ------------------------------------------- duplicated n-gram spans
 
 
-def test_dup_ngram_spans_path_equivalence(registry, ray_session):
+def test_dup_ngram_spans_path_equivalence(registry, ray_session, force_gates):
     """The broadcast (gated) and shuffle (at-scale) paths must produce the
     identical span set; spans must be maximal and non-overlapping per doc."""
     import pandas as pd
@@ -133,11 +133,16 @@ def test_dup_ngram_spans_path_equivalence(registry, ray_session):
             df.sort_values(["doc_id", "span_start"]).reset_index(drop=True)
         )
 
-    a = norm(duplicate_ngram_spans(SF, force_shuffle_path=False))
-    b = norm(duplicate_ngram_spans(SF, force_shuffle_path=True,
-                                   force_broadcast_flags=False))
-    c = norm(duplicate_ngram_spans(SF, force_shuffle_path=True,
-                                   force_broadcast_flags=True))
+    op = "duplicate_ngram_spans"
+    force_gates(True, "documents")
+    a = norm(duplicate_ngram_spans(SF))
+    assert force_gates.sides(op) == {"documents": True}
+    force_gates(False, "documents", "dup_grams")
+    b = norm(duplicate_ngram_spans(SF))
+    assert force_gates.sides(op)["dup_grams"] is False
+    force_gates(True, "dup_grams")
+    c = norm(duplicate_ngram_spans(SF))
+    assert force_gates.sides(op) == {"documents": False, "dup_grams": True}
     pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
     pd.testing.assert_frame_equal(a, c.astype(a.dtypes.to_dict()))
 

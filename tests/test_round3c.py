@@ -180,20 +180,21 @@ def test_phash_radius_minus_one_disables_gate():
     assert idx.query(0xDEADBEEF) is None  # even exact match misses
 
 
-def test_dup_span_join_branch_with_bloom_prefilter(ray_session):
+def test_dup_span_join_branch_with_bloom_prefilter(ray_session, force_gates):
     """The Bloom-prefiltered shuffle+join branch still equals the
-    broadcast branch (and therefore the SQL oracle). force_bloom: the
-    seeded test corpus is dup-heavy, so the density gate would skip the
-    filter on its own."""
-    from raycrawl.ops import common as C
+    broadcast branch (and therefore the SQL oracle). The bloom side is
+    forced: the seeded test corpus is dup-heavy, so the density gate
+    would skip the filter on its own."""
     from raycrawl.ops.dedup import duplicate_ngram_spans
 
-    a = norm(duplicate_ngram_spans(
-        SF, force_shuffle_path=True, force_broadcast_flags=False,
-        force_bloom_prefilter=True,
-    ).to_pandas())
-    assert C.PATH_LOG["duplicate_ngram_spans"] == "shuffle+join+bloom"
+    force_gates(False, "documents", "dup_grams")
+    force_gates(True, "bloom")
+    a = norm(duplicate_ngram_spans(SF).to_pandas())
+    assert force_gates.sides("duplicate_ngram_spans") == {
+        "documents": False, "dup_grams": False, "bloom": True}
+    force_gates(None)
     b = norm(duplicate_ngram_spans(SF).to_pandas())
+    assert force_gates.sides("duplicate_ngram_spans") == {"documents": True}
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 

@@ -29,16 +29,17 @@ def test_new_ops_match_oracle(ray_session, name):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_late_shipment_join_branch_equivalent(ray_session):
+def test_late_shipment_join_branch_equivalent(ray_session, force_gates):
     """Forcing the orders side over the broadcast gate must route through
     the hash-join path and produce the identical matrix."""
-    from raycrawl.ops.common import PATH_LOG
     from raycrawl.ops.relops import late_shipment_priority_matrix
 
+    op = "late_shipment_priority_matrix"
     bcast = late_shipment_priority_matrix(SF).to_pandas()
-    assert PATH_LOG["late_shipment_priority_matrix"] == "broadcast"
-    joined = late_shipment_priority_matrix(SF, broadcast_max=0).to_pandas()
-    assert PATH_LOG["late_shipment_priority_matrix"] == "join"
+    assert force_gates.sides(op) == {"orders": True}
+    force_gates(False, "orders")
+    joined = late_shipment_priority_matrix(SF).to_pandas()
+    assert force_gates.sides(op) == {"orders": False}
     pd.testing.assert_frame_equal(
         norm(bcast), norm(joined), check_dtype=False
     )

@@ -28,32 +28,76 @@ def test_new_ops_match_oracle(ray_session, name):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-GATED = [
-    ("shipping_priority_topk", "broadcast", "join"),
-    ("order_priority_exists_check", "broadcast", "join"),
-    ("disjunctive_part_revenue", "broadcast", "join"),
-    ("nation_yoy_revenue_growth", "broadcast", "join"),
-    ("returned_item_report", "broadcast", "join"),
-]
+# op → the side its first gate sizes (shipping_priority_topk's orders
+# gate is reached only when its customers broadcast)
+GATED = {
+    "shipping_priority_topk": "customer",
+    "order_priority_exists_check": "orders",
+    "disjunctive_part_revenue": "part",
+    "nation_yoy_revenue_growth": "customer",
+    "returned_item_report": "orders",
+}
 
 
-@pytest.mark.parametrize("name,small,big", GATED)
-def test_gated_paths_equivalent(ray_session, name, small, big):
-    """Forcing the broadcast gate to 0 must flip the op onto its
-    distributed join branch and produce identical rows."""
+@pytest.mark.parametrize("name", GATED, ids=lambda n: f"{n}-broadcast-join")
+def test_gated_paths_equivalent(ray_session, force_gates, name):
+    """Forcing the broadcast gates to the partitioned side must flip the
+    op onto its distributed join branch and produce identical rows."""
     from raycrawl.ops import relops2
-    from raycrawl.ops.common import PATH_LOG
 
-    def run(**kw):
-        out = fn(SF, **kw)
+    def run():
+        out = fn(SF)
         return norm(out.to_pandas() if not isinstance(out, pd.DataFrame) else out)
 
     fn = getattr(relops2, name)
     a = run()
-    assert PATH_LOG[name] == small
-    b = run(broadcast_max=0)
-    assert PATH_LOG[name] == big
+    assert set(force_gates.sides(name).values()) == {True}
+    force_gates(False)
+    b = run()
+    assert force_gates.sides(name) == {GATED[name]: False}
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
+
+
+def test_q3_broadcast_customers_join_orders_matches_sql(ray_session,
+                                                        force_gates):
+    """The branch that broadcasts the segment's customers and hash-joins
+    the orders (orders over their bound, customers under theirs) matches
+    the SQL."""
+    force_gates(False, "orders")
+    got = norm(run_query("shipping_priority_topk", SF))
+    assert force_gates.sides("shipping_priority_topk") == {
+        "customer": True, "orders": False}
+    pd.testing.assert_frame_equal(
+        got, norm(oracle("shipping_priority_topk", SF)), check_dtype=False)
+
+
+@pytest.mark.parametrize("orders_small", [True, False],
+                         ids=["broadcast", "broadcast+join"])
+def test_q3_without_segment_customers_is_empty(ray_session, tmp_path,
+                                               force_gates, orders_small):
+    """No customer in the Q3 segment: both broadcast-customer branches
+    return the SQL's answer (no rows) instead of probing an empty key
+    array."""
+    import os
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from tests.oracle_utils import TABLES
+
+    for name in TABLES:
+        if name != "customer":
+            os.symlink(f"{SF}/{name}.parquet", tmp_path / f"{name}.parquet")
+    cust = pq.read_table(f"{SF}/customer.parquet")
+    pq.write_table(cust.filter(pc.not_equal(cust["c_mktsegment"], "BUILDING")),
+                   str(tmp_path / "customer.parquet"))
+    force_gates(orders_small, "orders")
+    got = run_query("shipping_priority_topk", str(tmp_path))
+    assert force_gates.sides("shipping_priority_topk") == {
+        "customer": True, "orders": orders_small}
+    want = oracle("shipping_priority_topk", str(tmp_path))
+    assert len(want) == 0
+    assert len(got) == 0
 
 
 def test_q4_exists_equals_direct_exists(ray_session):

@@ -133,50 +133,51 @@ def test_triangle_count_matches_bruteforce(ray_session):
     assert got["n_triangles"] == tri
 
 
-def test_pmi_paths_equivalent(ray_session):
-    """Forcing the vocab gate to 0 must flip PMI onto the two-hash-join
-    branch with identical rows."""
-    from raycrawl.ops.common import PATH_LOG
+def test_pmi_paths_equivalent(ray_session, force_gates):
+    """Forcing the vocab gate to the partitioned side must flip PMI onto
+    the two-hash-join branch with identical rows."""
     from raycrawl.ops.textstats import pmi_top_bigrams
 
-    def run(**kw):
-        df = pmi_top_bigrams(SF, **kw).to_pandas()
+    def run():
+        df = pmi_top_bigrams(SF).to_pandas()
         return df.sort_values(["w1", "w2"]).reset_index(drop=True)
 
     a = run()
-    assert PATH_LOG["pmi_top_bigrams"] == "broadcast"
-    b = run(vocab_broadcast_max=0)
-    assert PATH_LOG["pmi_top_bigrams"] == "join"
+    assert force_gates.sides("pmi_top_bigrams") == {"vocab": True}
+    force_gates(False, "vocab")
+    b = run()
+    assert force_gates.sides("pmi_top_bigrams") == {"vocab": False}
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_cosupplier_edges_paths_equivalent(ray_session):
+def test_cosupplier_edges_paths_equivalent(ray_session, force_gates):
     """The bitset edge builder must produce the exact edge set of the
     self-join path."""
-    from raycrawl.ops.common import PATH_LOG
     from raycrawl.ops.graphops import cosupplier_edges
 
-    def run(**kw):
+    def run():
         return (
-            cosupplier_edges(SF, **kw).to_pandas()
+            cosupplier_edges(SF).to_pandas()
             .sort_values(["src", "dst"]).reset_index(drop=True)
         )
 
     a = run()
-    assert PATH_LOG["cosupplier_edges"] == "bitset"
-    b = run(bitset_max_nodes=0)
-    assert PATH_LOG["cosupplier_edges"] == "join"
+    assert force_gates.sides("cosupplier_edges") == {"supplier": True}
+    force_gates(False, "supplier")
+    b = run()
+    assert force_gates.sides("cosupplier_edges") == {"supplier": False}
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_triangle_paths_equivalent(ray_session):
-    """Forcing the bitset gate to 0 must flip onto the distributed
-    wedge-join branch with identical counts."""
-    from raycrawl.ops.common import PATH_LOG
+def test_triangle_paths_equivalent(ray_session, force_gates):
+    """Forcing the bitset gate to the partitioned side must flip onto the
+    distributed wedge-join branch with identical counts."""
     from raycrawl.ops.graphops import triangle_count_cosuppliers
 
+    op = "triangle_count_cosuppliers"
     a = triangle_count_cosuppliers(SF).to_pandas()
-    assert PATH_LOG["triangle_count_cosuppliers"] == "bitset"
-    b = triangle_count_cosuppliers(SF, bitset_max_nodes=0).to_pandas()
-    assert PATH_LOG["triangle_count_cosuppliers"] == "join"
+    assert force_gates.sides(op) == {"nodes": True}
+    force_gates(False, "nodes")
+    b = triangle_count_cosuppliers(SF).to_pandas()
+    assert force_gates.sides(op) == {"nodes": False}
     pd.testing.assert_frame_equal(a, b)

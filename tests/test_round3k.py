@@ -98,16 +98,16 @@ def test_zipf_fit_matches_polyfit(ray_session):
     assert got["zipf_slope"] < 0  # frequency decays with rank
 
 
-def test_chi2_paths_equivalent(ray_session):
+def test_chi2_paths_equivalent(ray_session, force_gates):
     from raycrawl.ops import relops2
-    from raycrawl.ops.common import PATH_LOG
 
-    def run(**kw):
-        out = relops2.segment_priority_chi2(SF, **kw)
+    def run():
+        out = relops2.segment_priority_chi2(SF)
         return norm(out.to_pandas() if not isinstance(out, pd.DataFrame) else out)
 
     a = run()
-    assert PATH_LOG["segment_priority_chi2"] == "broadcast"
-    b = run(broadcast_max=0)
-    assert PATH_LOG["segment_priority_chi2"] == "join"
+    assert force_gates.sides("segment_priority_chi2") == {"customer": True}
+    force_gates(False)
+    b = run()
+    assert force_gates.sides("segment_priority_chi2") == {"customer": False}
     pd.testing.assert_frame_equal(a, b, check_dtype=False)

@@ -34,22 +34,22 @@ GATED = [
 
 
 @pytest.mark.parametrize("name", GATED)
-def test_gated_paths_equivalent(ray_session, name):
-    """Forcing the orders/part broadcast gates to 0 must flip the op onto
-    its distributed join branch and produce identical rows."""
+def test_gated_paths_equivalent(ray_session, force_gates, name):
+    """Forcing the orders broadcast gate to the partitioned side must flip
+    the op onto its distributed join branch and produce identical rows."""
     from raycrawl.ops import relops3
-    from raycrawl.ops.common import PATH_LOG
 
     fn = getattr(relops3, name)
 
-    def run(**kw):
-        out = fn(SF, **kw)
+    def run():
+        out = fn(SF)
         return norm(out.to_pandas() if not isinstance(out, pd.DataFrame) else out)
 
     a = run()
-    assert PATH_LOG[name] == "broadcast"
-    b = run(orders_broadcast_max=0)
-    assert PATH_LOG[name] == "join"
+    assert set(force_gates.sides(name).values()) == {True}
+    force_gates(False, "orders")
+    b = run()
+    assert force_gates.sides(name) == {"orders": False}
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 

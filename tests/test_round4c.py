@@ -24,15 +24,14 @@ def test_new_ops_match_oracle(ray_session, name):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_association_rules_join_branch(ray_session):
+def test_association_rules_join_branch(ray_session, force_gates):
     """Forcing the broadcast gate shut must route through Dataset.join and
     produce the identical rule table."""
-    from raycrawl.ops.common import PATH_LOG
     from raycrawl.ops.relops4 import brand_association_rules
 
-    PATH_LOG.clear()
-    got = norm(brand_association_rules(SF, part_broadcast_max=0).to_pandas())
-    assert PATH_LOG.get("brand_association_rules") == "join"
+    force_gates(False, "part")
+    got = norm(brand_association_rules(SF).to_pandas())
+    assert force_gates.sides("brand_association_rules") == {"part": False}
     want = norm(oracle("brand_association_rules", SF))
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 

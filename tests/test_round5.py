@@ -256,7 +256,7 @@ def test_kll_by_type_merge_order_independence():
     assert qs[0] == qs[1]
 
 
-def test_label_prop_winner_gate_path_equivalence(ray_session, monkeypatch,
+def test_label_prop_winner_gate_path_equivalence(ray_session, force_gates,
                                                force_exchange):
     """Winner selection must be identical on both sides of the
     driver-pick edge gate (it is one shared function; this pins the
@@ -266,7 +266,6 @@ def test_label_prop_winner_gate_path_equivalence(ray_session, monkeypatch,
     import ray
 
     from raycrawl.pipelines import reference_analogs as ra
-    from raycrawl.ops.common import PATH_LOG
 
     seeds = {0: "A", 1: "B"}
     edges = pd.DataFrame(
@@ -274,13 +273,13 @@ def test_label_prop_winner_gate_path_equivalence(ray_session, monkeypatch,
     )
     a = ra.propagate_labels(ray.data.from_pandas(edges), seeds,
                             iterations=2, margin=1)
-    assert PATH_LOG.get("label_propagation") == "driver_pick"
-    monkeypatch.setattr(ra, "_LP_DRIVER_PICK_MAX_EDGES", 0)
+    assert force_gates.sides("label_propagation")["edges"] is True
+    force_gates(False, "edges")
     force_exchange()
     b = ra.propagate_labels(ray.data.from_pandas(edges), seeds,
                             iterations=2, margin=1)
     assert force_exchange.runs  # the forced side ran the exchange
-    assert PATH_LOG.get("label_propagation") == "bucketed_winners"
+    assert force_gates.sides("label_propagation")["edges"] is False
     pd.testing.assert_frame_equal(a, b)
 
 

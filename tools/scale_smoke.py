@@ -1,17 +1,18 @@
 """Scale smoke (VERDICT round-2 item 5): generate an ~sf1.0-sized dataset
 under /tmp by deterministic replication of /root/testdata/sf0.1 with key
 remapping, then run the gated pipelines + the crawl over it and PROVE —
-via ops.common.PATH_LOG, and for ``bucketed_group_agg`` via the bucket
-count its ``group_buckets`` call returned — that the adaptive operators
-take their DISTRIBUTED branches on real over-gate data (not monkeypatched
-thresholds), finish, and satisfy cheap invariants.
+via the decisions ``ops.common.gate`` returned, and for
+``bucketed_group_agg`` via the bucket count its ``group_buckets`` call
+returned — that the adaptive operators take their DISTRIBUTED branches on
+real over-gate data (not forced decisions), finish, and satisfy cheap
+invariants.
 
 Crossed gates at these sizes:
   * documents 2.05M rows, 1 in 500 duplicated into another part file →
     ~2.05M exact_dedup_by_hash partial rows > BUCKET_TARGET_ROWS (2M) →
     bucketed_group_agg takes the bucketed exchange; > 62.5k docs →
     minhash_lsh_candidates distributed band path (1M band-row gate).
-  * orders x100 → ~1.3M distinct urgent custkeys > OUTER_JOIN_BROADCAST_MAX
+  * orders x100 → ~1.3M distinct urgent custkeys > LOOKUP_BROADCAST_MAX
     (1M) → customer_urgent_order_stats LEFT OUTER Dataset.join path.
   * lineitem x10 (6M rows) → the lineitem-keyed combines pick one task or
     the exchange from the partial rows they observe; the JSON line's
@@ -203,10 +204,33 @@ def main() -> None:
 
     common.group_buckets = counted
 
+    # every gate decision since the last query started, recorded the way
+    # the tests' force_gates fixture records it: a wrapper around
+    # common.gate; a side in ``partitioned`` is sent to its partitioned
+    # branch as rows one over its bound would be
+    decisions: list[tuple[str, str, bool]] = []
+    partitioned: set[str] = set()
+    gate = common.gate
+
+    def recorded(op: str, side: str, rows: int, bound: int) -> bool:
+        small = gate(op, side, max(rows, bound + 1)
+                     if side in partitioned else rows, bound)
+        decisions.append((op, side, small))
+        return small
+
+    common.gate = recorded
+
+    def took(op: str, side: str) -> bool | None:
+        """The last decision of ``op``'s ``side`` gate (True = small side),
+        None when the gate was not reached."""
+        hits = [s for o, sd, s in decisions if (o, sd) == (op, side)]
+        return hits[-1] if hits else None
+
     def run(name: str):
         import pandas as pd
 
         calls.clear()
+        decisions.clear()
         t0 = time.perf_counter()
         out = REGISTRY[name]["fn"](args.dir)
         if not isinstance(out, pd.DataFrame):
@@ -226,13 +250,14 @@ def main() -> None:
 
     cu = run("customer_urgent_order_stats")
     checks["urgent_stats_distributed"] = (
-        PATH_LOG.get("customer_urgent_order_stats") == "distributed_join"
+        took("customer_urgent_order_stats", "urgent_counts") is False
     )
     checks["urgent_stats_one_row_per_customer"] = len(cu) == n_cust
 
     mh = run("minhash_lsh_candidates")
     checks["minhash_distributed"] = (
-        PATH_LOG.get("minhash_lsh_candidates") == "distributed"
+        took("minhash_lsh_candidates", "band_rows") is False
+        and took("minhash_lsh_candidates", "candidate_pairs") is True
     )
     # the seeded exact duplicates must be found (Jaccard 1.0 pairs exist)
     checks["minhash_found_seeded_dups"] = (
@@ -266,6 +291,7 @@ def main() -> None:
                       "text": pa.array(texts)}),
             os.path.join(dloc, "part-0000.parquet"),
         )
+    decisions.clear()
     t0 = time.perf_counter()
     mj = REGISTRY["minhash_lsh_candidates"]["fn"](mh_dir)
     if not isinstance(mj, _pd.DataFrame):
@@ -276,7 +302,7 @@ def main() -> None:
     print(f"# minhash join tail: {results['minhash_lsh_candidates_join_tail']}s,"
           f" {len(mj)} pairs", file=sys.stderr)
     checks["minhash_join_branch"] = (
-        PATH_LOG.get("minhash_lsh_candidates") == "distributed+join"
+        took("minhash_lsh_candidates", "candidate_pairs") is False
     )
     checks["minhash_join_pair_count"] = (
         len(mj) == n_clusters * copies * (copies - 1) // 2
@@ -314,9 +340,9 @@ def main() -> None:
     # exact-phash groups = odd-id%3==0 pairs → n_docs//6 ± boundary
     checks["phash_bestres_group_count"] = abs(len(br) - n_docs / 6) < 2
     sp = run("duplicate_ngram_spans")  # >500k docs → shuffle branch
-    checks["dup_spans_distributed"] = PATH_LOG.get(
-        "duplicate_ngram_spans", ""
-    ).startswith("shuffle")
+    checks["dup_spans_distributed"] = (
+        took("duplicate_ngram_spans", "documents") is False
+    )
     checks["dup_spans_found_seeded"] = len(sp) > 0
     run("knn_label_recall")
 
@@ -356,7 +382,7 @@ def main() -> None:
     )
     lt = run("late_shipment_priority_matrix")  # 15M orders > 1M gate
     checks["late_matrix_join_branch"] = (
-        PATH_LOG.get("late_shipment_priority_matrix") == "join"
+        took("late_shipment_priority_matrix", "orders") is False
     )
     checks["late_matrix_bounded"] = bool(
         (lt["n_late"] <= lt["n_lines"]).all()
@@ -378,18 +404,20 @@ def main() -> None:
     # 15M orders > 1M gate → the Q3/Q4/YoY ops must take their JOIN
     # branches on real data (path-equivalence pytests cover parity)
     st = run("shipping_priority_topk")
-    checks["q3_join_branch"] = PATH_LOG.get("shipping_priority_topk") == "join"
+    checks["q3_join_branch"] = (
+        took("shipping_priority_topk", "customer") is False
+    )
     checks["q3_topk_shape"] = bool(
         len(st) == 10 and st["revenue"].is_monotonic_decreasing
     )
     oc = run("order_priority_exists_check")
     checks["q4_join_branch"] = (
-        PATH_LOG.get("order_priority_exists_check") == "join"
+        took("order_priority_exists_check", "orders") is False
     )
     checks["q4_counts_bounded"] = int(oc["n_late_orders"].sum()) <= n_orders
     yy = run("nation_yoy_revenue_growth")
     checks["yoy_join_branch"] = (
-        PATH_LOG.get("nation_yoy_revenue_growth") == "join"
+        took("nation_yoy_revenue_growth", "customer") is False
     )
     # (groupby().first() skips NaN — index the min-year row directly)
     checks["yoy_first_year_null"] = bool(
@@ -424,7 +452,7 @@ def main() -> None:
     )
     cs = run("segment_priority_chi2")
     checks["chi2_join_branch"] = (
-        PATH_LOG.get("segment_priority_chi2") == "join"
+        took("segment_priority_chi2", "customer") is False
     )
     checks["chi2_marginals"] = int(cs["n"].sum()) == n_orders
     rf = run("customer_rfm_segments")
@@ -448,14 +476,14 @@ def main() -> None:
     )
     ne = run("nation_revenue_entropy")
     checks["entropy_join_branch"] = (
-        PATH_LOG.get("nation_revenue_entropy") == "join"
+        took("nation_revenue_entropy", "customer") is False
     )
     checks["entropy_normalized"] = bool(
         0 <= float(ne["normalized_entropy"][0]) <= 1
     )
     tg = run("triangle_count_cosuppliers")
     checks["triangle_bitset_branch"] = (
-        PATH_LOG.get("cosupplier_edges") == "bitset"
+        took("cosupplier_edges", "supplier") is True
     )
     checks["triangles_le_wedges_2"] = bool(
         int(tg["n_triangles"][0]) <= int(tg["n_wedges"][0])
@@ -515,24 +543,24 @@ def main() -> None:
     # lineitem rows; the telemetry ops stream 2.05M docs / 2.5M events
     tv = run("nation_pair_trade_volume")
     checks["q7_join_branch"] = (
-        PATH_LOG.get("nation_pair_trade_volume") == "join"
+        took("nation_pair_trade_volume", "orders") is False
     )
     checks["q7_both_directions"] = bool(
         tv["supp_nation"].nunique() == 2 and (tv["revenue"] > 0).all()
     )
     ms = run("nation_market_share")
-    checks["q8_join_branch"] = PATH_LOG.get("nation_market_share") == "join"
+    checks["q8_join_branch"] = took("nation_market_share", "orders") is False
     checks["q8_share_in_unit_interval"] = bool(
         ((ms["mkt_share"] >= 0) & (ms["mkt_share"] <= 1)).all()
     )
     pf = run("nation_part_profit")
-    checks["q9_join_branch"] = PATH_LOG.get("nation_part_profit") == "join"
+    checks["q9_join_branch"] = took("nation_part_profit", "orders") is False
     checks["q9_all_nations_all_years"] = bool(
         pf["n_name"].nunique() == 25 and len(pf) > 25
     )
     sl = run("sole_late_shipper_suppliers")
     checks["q21_join_branch"] = (
-        PATH_LOG.get("sole_late_shipper_suppliers") == "join"
+        took("sole_late_shipper_suppliers", "orders") is False
     )
     checks["q21_nonempty_and_positive"] = bool(
         len(sl) > 0 and (sl["numwait"] >= 1).all()
@@ -603,9 +631,9 @@ def main() -> None:
     # runs in bucketed_group_agg, so the driver only ever sees the
     # ≤1-row-per-user winner table. Graph: user u has 3 edges to seed
     # u%3 → margin 3 passes the gate and the expected labels are
-    # analytic. Forced join attach (broadcast_threshold=0); 6M edges
-    # exceed _LP_DRIVER_PICK_MAX_EDGES, so the bucketed winner branch
-    # runs on real over-gate data (PATH_LOG-asserted below).
+    # analytic. Forced join attach (its "labels" gate sent partitioned);
+    # 6M edges exceed _LP_DRIVER_PICK_MAX_EDGES, so the bucketed winner
+    # branch runs on real over-gate data (asserted below).
     import ray as _ray
 
     from raycrawl.pipelines.reference_analogs import propagate_labels
@@ -626,16 +654,20 @@ def main() -> None:
     lp_edges = _ray.data.range(_LP_USERS * 3).map_batches(
         _lp_edges, batch_format="pyarrow"
     )
+    decisions.clear()
+    partitioned.add("labels")
     t0 = time.perf_counter()
-    lp = propagate_labels(
-        lp_edges, _lp_seeds, iterations=2, margin=2, broadcast_threshold=0
-    )
+    lp = propagate_labels(lp_edges, _lp_seeds, iterations=2, margin=2)
+    partitioned.clear()
     results["label_prop_1m_users"] = round(time.perf_counter() - t0, 3)
     print(f"# label_prop_1m_users: {results['label_prop_1m_users']}s, "
           f"{len(lp)} rows", file=sys.stderr)
     checks["label_prop_1m_rows"] = len(lp) == _LP_USERS + len(_lp_seeds)
+    checks["label_prop_join_attach"] = (
+        took("label_propagation", "labels") is False
+    )
     checks["label_prop_distributed_winners"] = (
-        PATH_LOG.get("label_propagation") == "bucketed_winners"
+        took("label_propagation", "edges") is False
     )
     _lp_map = dict(zip(lp["user_id"], lp["label"]))
     _expect = {0: "A", 1: "B", 2: "C"}
