@@ -110,13 +110,25 @@ def md5_u64_le(s: str) -> int:
     return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little")
 
 
-def isin_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Vectorized membership of ``probe`` in the SORTED ``keys``; empty
-    ``keys`` match nothing (instead of indexing an empty array)."""
+def lookup_sorted(keys: np.ndarray, probe: np.ndarray, *values,
+                  fill=0) -> tuple:
+    """THE sorted-key probe: ``(found, *gathered)`` for ``probe`` in the
+    SORTED ``keys``. ``found`` is the membership mask; each array of
+    ``values`` (parallel to ``keys``) comes back gathered at the probe
+    positions, ``fill`` where the key is absent. One vectorized pass, and
+    it indexes neither ``keys`` nor a value array when they are empty."""
     if not len(keys):
-        return np.zeros(len(probe), dtype=bool)
+        return (np.zeros(len(probe), dtype=bool),
+                *(np.full(len(probe), fill, dtype=np.asarray(v).dtype)
+                  for v in values))
     pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-    return keys[pos] == probe
+    found = keys[pos] == probe
+    return (found, *(np.where(found, v[pos], fill) for v in values))
+
+
+def isin_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Vectorized membership of ``probe`` in the SORTED ``keys``."""
+    return lookup_sorted(keys, probe)[0]
 
 
 def round_half_away(x, nd: int):
@@ -195,9 +207,8 @@ def join_partitions(cap_per_node: int = 16, divisor: int = 4, floor: int = 4) ->
     clamped to [floor, cap]. The cap scales with ALIVE NODE COUNT so a
     multi-node cluster spreads aggregators across nodes instead of
     serializing the shuffle through a single-node-sized pool; the
-    single-node numbers above set cap_per_node. Every ``Dataset.join``
-    in this repo must size ``num_partitions`` through this helper (a
-    grep-based pytest enforces it)."""
+    single-node numbers above set cap_per_node. ``join`` is its only
+    caller."""
     import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 8))
@@ -207,6 +218,64 @@ def join_partitions(cap_per_node: int = 16, divisor: int = 4, floor: int = 4) ->
         nodes = 1
     cap = cap_per_node * max(1, nodes)
     return max(floor, min(cap, cpus // divisor))
+
+
+# Ray Data join types in use, and the Arrow verbs they map to (the verbs
+# Ray's own hash-join aggregators pass to ``pa.Table.join``).
+_ARROW_JOIN = {"inner": "inner", "left_outer": "left outer",
+               "full_outer": "full outer"}
+
+
+def join(left: ray.data.Dataset, right: ray.data.Dataset, how: str,
+         on: tuple[str, ...],
+         right_on: tuple[str, ...] | None = None) -> ray.data.Dataset:
+    """THE equi-join: every ``Dataset.join`` in the repo goes through here
+    (a grep test enforces it). ``how`` is ``inner``, ``left_outer`` or
+    ``full_outer``.
+
+    Both sides run once (``materialize``) and their row counts come from
+    block metadata; the join then reads those blocks. With rows on both
+    sides it is Ray's hash-partitioned ``Dataset.join``, sized by
+    ``join_partitions``. With an empty side there is no shuffle: Ray 2.49
+    raises ``ArrowInvalid: No match ... for key field reference`` there,
+    because its empty partitions carry no schema. Instead each block of
+    the other side is joined in its own task with ``pa.Table.join``
+    against the empty side's typed empty table — the call Ray's
+    aggregators make, so columns are named and typed as on the
+    partitioned path: an inner join gives no rows, an outer join passes
+    the other side's rows through with nulls. Two empty sides give one
+    zero-row block."""
+    verb = _ARROW_JOIN[how]  # only the join types in use
+    left, right = left.materialize(), right.materialize()
+    lrows, rrows = left.count(), right.count()  # from the block metadata
+    if lrows and rrows:
+        return left.join(right, join_type=how,
+                         num_partitions=join_partitions(), on=on,
+                         right_on=right_on)
+
+    def typed_empty(ds) -> pa.Table:
+        t = combine_small(ds, lambda t: t.slice(0, 0))
+        if not t.num_columns:
+            raise ValueError(
+                "join: the empty side has no columns (a map_batches stage "
+                "over an empty block emits it without them); filter inside "
+                "the map instead of in front of it")
+        return t
+
+    lt = None if lrows else typed_empty(left)
+    rt = None if rrows else typed_empty(right)
+    keys, right_keys = list(on), list(right_on or on)
+    if not (lrows or rrows):
+        return ray.data.from_arrow(
+            lt.join(rt, keys=keys, right_keys=right_keys, join_type=verb))
+
+    def local(t: pa.Table) -> pa.Table:  # a closure: its task imports no ops
+        return (t if lt is None else lt).join(
+            t if rt is None else rt, keys=keys, right_keys=right_keys,
+            join_type=verb)
+
+    return (left if lrows else right).map_batches(
+        local, batch_format="pyarrow", batch_size=None)
 
 
 # Target rows per bucket for bucketed_group_agg: small enough that one

@@ -208,7 +208,7 @@ def crawl_payload(sf_dir: str):
     )
 
 
-def payload_delta(dir_a: str, dir_b: str, num_partitions: int | None = None):
+def payload_delta(dir_a: str, dir_b: str):
     """Incremental-recrawl delta between two crawl outputs, as a Dataset of
     (image_id, status) with status ∈ {added, removed, changed, same}
     relative to dir_a → dir_b.
@@ -220,13 +220,13 @@ def payload_delta(dir_a: str, dir_b: str, num_partitions: int | None = None):
     mutable in-place images would add a payload-bytes digest column at
     fetch time and compare that instead). Both sides stream through
     ``read_payload`` (suppressed-sidecar anti-filter + column pruning
-    apply), the join is hash-partitioned via ``join_partitions()``, and
-    the status compute is one vectorized pandas pass per block — nothing
-    materializes beyond the join."""
+    apply), ``common.join`` materializes both (so an empty generation
+    joins without a shuffle), and the status compute is one vectorized
+    pandas pass per block of the join."""
     import pandas as pd
 
     from ..crawler import read_payload
-    from .common import join_partitions
+    from . import common
 
     cols = ["image_id", "w", "h", "fmt", "phash", "caption"]
     a = read_payload(dir_a, columns=cols)
@@ -235,12 +235,9 @@ def payload_delta(dir_a: str, dir_b: str, num_partitions: int | None = None):
     def tag_b(t):
         return t.rename_columns([f"{c}_b" for c in t.column_names])
 
-    joined = a.join(
-        b.map_batches(tag_b, batch_format="pyarrow"),
-        join_type="full_outer",
-        num_partitions=num_partitions or join_partitions(),
-        on=("image_id",),
-        right_on=("image_id_b",),
+    joined = common.join(
+        a, b.map_batches(tag_b, batch_format="pyarrow"), "full_outer",
+        ("image_id",), ("image_id_b",),
     )
 
     def status(df: pd.DataFrame) -> pd.DataFrame:
@@ -2356,8 +2353,7 @@ def crawl_depth_histogram(sf_dir: str):
 # read. Boost plan: hosts at/above the 75th change-rate percentile get
 # +2, above the median +1 — the same {host: boost} shape `crawl
 # --host-boosts` already consumes (tier-feedback precedent).
-def host_change_rates(dir_a: str, dir_b: str,
-                      num_partitions: int | None = None):
+def host_change_rates(dir_a: str, dir_b: str):
     import glob as _glob
 
     import numpy as np
@@ -2367,7 +2363,8 @@ def host_change_rates(dir_a: str, dir_b: str,
 
     from ..core.urltools import host_of
     from ..crawler import read_payload
-    from .common import combine_small, join_partitions, round_half_away
+    from . import common
+    from .common import combine_small, round_half_away
 
     cols = ["image_id", "url", "w", "h", "fmt", "phash", "caption"]
     a = read_payload(dir_a, columns=cols)
@@ -2388,12 +2385,9 @@ def host_change_rates(dir_a: str, dir_b: str,
         t = t.drop_columns(["url"])  # host comes from side A's url
         return t.rename_columns([f"{c}_b" for c in t.column_names])
 
-    joined = a.join(
-        b.map_batches(tag_b, batch_format="pyarrow"),
-        join_type="inner",
-        num_partitions=num_partitions or join_partitions(),
-        on=("image_id",),
-        right_on=("image_id_b",),
+    joined = common.join(
+        a, b.map_batches(tag_b, batch_format="pyarrow"), "inner",
+        ("image_id",), ("image_id_b",),
     )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:

@@ -34,7 +34,7 @@ from .common import (
     bucketed_group_agg,
     combine_small,
     isin_sorted,
-    join_partitions,
+    lookup_sorted,
     md5_u64_le,
     table,
     table_num_rows,
@@ -420,13 +420,11 @@ def minhash_lsh_candidates(sf_dir: str):
     # the same gate pattern as minhash_dedup_clusters' 5M-pair branch.
     uniq = bucketed_group_agg(pairs, ["a", "b"], lambda g: g.drop_duplicates())
     docs = table(sf_dir, "documents", ["doc_id", "text"])
-    with_a = uniq.join(
-        docs, join_type="inner", num_partitions=join_partitions(),
-        on=("a",), right_on=("doc_id",),
+    with_a = common.join(
+        uniq, docs, "inner", ("a",), ("doc_id",)
     ).select_columns(["a", "b", "text"]).rename_columns({"text": "text_a"})
-    with_ab = with_a.join(
-        docs, join_type="inner", num_partitions=join_partitions(),
-        on=("b",), right_on=("doc_id",),
+    with_ab = common.join(
+        with_a, docs, "inner", ("b",), ("doc_id",)
     ).select_columns(["a", "b", "text_a", "text"]).rename_columns(
         {"text": "text_b"}
     )
@@ -515,9 +513,8 @@ def _components_distributed(pairs_df: pd.DataFrame) -> dict[int, int]:
     edges = rd.from_pandas(sym)
     for _ in range(64):  # diameter bound; near-dup clusters are shallow
         lbl_ds = rd.from_pandas(labels)
-        prop = edges.join(
-            lbl_ds, join_type="inner", num_partitions=join_partitions(),
-            on=("src",), right_on=("node",),
+        prop = common.join(
+            edges, lbl_ds, "inner", ("src",), ("node",)
         ).select_columns(["dst", "lbl"])
         self_lbl = rd.from_arrow(
             pa.Table.from_pandas(
@@ -832,10 +829,7 @@ def _word_re():
 
 
 @register("duplicate_ngram_fraction", sql=_DUP_NGRAM_SQL)
-def duplicate_ngram_fraction(
-    sf_dir: str,
-    num_partitions: int | None = None,
-):
+def duplicate_ngram_fraction(sf_dir: str):
     import pyarrow.compute as pc
 
     docs = table_spread(sf_dir, "documents", ["doc_id", "text"])
@@ -926,11 +920,7 @@ def duplicate_ngram_fraction(
         def doc_partial(t: pa.Table, *, ref) -> pa.Table:
             dups = _ray.get(ref)
             gh = t["gram_h"].to_numpy(zero_copy_only=False)
-            if len(dups):
-                pos = np.clip(np.searchsorted(dups, gh), 0, len(dups) - 1)
-                isdup = (dups[pos] == gh).astype(np.int64)
-            else:
-                isdup = np.zeros(len(gh), dtype=np.int64)
+            isdup = isin_sorted(dups, gh).astype(np.int64)
             tmp = pa.table(
                 {"doc_id": t["doc_id"], "dup": pa.array(isdup)}
             )
@@ -965,12 +955,7 @@ def duplicate_ngram_fraction(
             nd=("gram_h", "size")
         ),
     )
-    joined = pairs.join(
-        counts,
-        join_type="inner",
-        num_partitions=num_partitions or join_partitions(),
-        on=("gram_h",),
-    )
+    joined = common.join(pairs, counts, "inner", ("gram_h",))
 
     def flag(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -1376,11 +1361,8 @@ def duplicate_ngram_spans(sf_dir: str):
 
         left = grams.map_batches(bloom_prefilter, batch_format="pyarrow")
 
-    flagged = left.join(
-        dup_mat,
-        join_type="inner",
-        num_partitions=join_partitions(),
-        on=("gram_h",),
+    flagged = common.join(
+        left, dup_mat, "inner", ("gram_h",)
     ).select_columns(["doc_id", "pos"])
 
     def doc_spans(g: pd.DataFrame) -> pd.DataFrame:
@@ -1496,12 +1478,7 @@ def duplicate_span_removal_stats(sf_dir: str):
             ids, nrem = _ray.get(ref)
             did = t["doc_id"].to_numpy(zero_copy_only=False)
             nw = t["n_words"].to_numpy(zero_copy_only=False)
-            hit = isin_sorted(ids, did)
-            if len(ids):
-                idx = np.minimum(np.searchsorted(ids, did), len(ids) - 1)
-                nr = np.where(hit, nrem[idx], 0)
-            else:
-                nr = np.zeros(len(did), dtype=np.int64)
+            _, nr = lookup_sorted(ids, did, nrem)
             return pa.table(
                 {
                     "doc_id": pa.array(did),
@@ -1515,12 +1492,7 @@ def duplicate_span_removal_stats(sf_dir: str):
 
         return counts.map_batches(attach, batch_format="pyarrow")
 
-    joined = counts.join(
-        rem,
-        join_type="left_outer",
-        num_partitions=join_partitions(),
-        on=("doc_id",),
-    )
+    joined = common.join(counts, rem, "left_outer", ("doc_id",))
 
     def finish(t: pa.Table) -> pa.Table:
         nw = t["n_words"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -30,7 +30,6 @@ from . import common
 from .common import (
     bucketed_group_agg,
     combine_small,
-    join_partitions,
     round_half_away,
     table,
     table_num_rows,
@@ -86,10 +85,7 @@ SELECT CAST(node AS BIGINT) AS node, ROUND(rank, 9) AS rank FROM r3
 COSUP_BITSET_MAX_NODES = 2_048
 
 
-def cosupplier_edges(
-    sf_dir: str,
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
+def cosupplier_edges(sf_dir: str) -> ray.data.Dataset:
     """Distinct (src, dst) supplier pairs sharing a part — both directions,
     no self-loops.
 
@@ -109,8 +105,6 @@ def cosupplier_edges(
       expansion is the intuitive shape but pays per-group task overhead —
       2k part groups cost ~100 s on this node.)
     """
-    if num_partitions is None:
-        num_partitions = join_partitions()
     li = table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
 
     if common.gate("cosupplier_edges", "supplier",
@@ -205,13 +199,7 @@ def cosupplier_edges(
     right = ps.map_batches(
         lambda t: t.rename_columns(["part_r", "dst"]), batch_format="pyarrow"
     )
-    pairs = ps.join(
-        right,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("l_partkey",),
-        right_on=("part_r",),
-    )
+    pairs = common.join(ps, right, "inner", ("l_partkey",), ("part_r",))
 
     def off_diagonal(t: pa.Table) -> pa.Table:
         keep = t.filter(pc.not_equal(t["l_suppkey"], t["dst"]))
@@ -261,7 +249,6 @@ def pagerank(
     edges: ray.data.Dataset,
     iterations: int = ITERATIONS,
     damping: float = DAMPING,
-    num_partitions: int | None = None,
 ):
     """Unrolled PageRank power iterations over a distributed edge Dataset.
 
@@ -271,8 +258,6 @@ def pagerank(
     DataFrame (node table is ≤ threshold by definition); the join regime
     returns a Dataset and never materializes node-sized state.
     """
-    if num_partitions is None:
-        num_partitions = join_partitions()
     edges = edges.materialize()  # reused every iteration — pin once
     deg_ds = _node_degrees(edges)
     n = deg_ds.count()
@@ -329,13 +314,7 @@ def pagerank(
     ).materialize()
 
     for _ in range(iterations):
-        joined = edges.join(
-            rank_ds,
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=("src",),
-            right_on=("node",),
-        )
+        joined = common.join(edges, rank_ds, "inner", ("src",), ("node",))
 
         def jcontrib(t: pa.Table) -> pa.Table:
             c = pc.divide(
@@ -356,13 +335,8 @@ def pagerank(
         )
         # left-join back onto the full node set: dangling-dst nodes get
         # teleport only
-        merged = deg_ds.join(
-            sums,
-            join_type="left_outer",
-            num_partitions=num_partitions,
-            on=("node",),
-            right_on=("dst",),
-        )
+        merged = common.join(deg_ds, sums, "left_outer", ("node",),
+                             ("dst",))
 
         def apply_rank(t: pa.Table) -> pa.Table:
             c = pc.fill_null(pc.cast(t["c"], pa.float64()), 0.0)
@@ -502,12 +476,8 @@ def triangle_count_cosuppliers(sf_dir: str):
         mid = edges.map_batches(
             lambda t: t.rename_columns(["b", "c"]), batch_format="pyarrow"
         )
-        wedges = edges.join(
-            mid,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("dst",),
-            right_on=("b",),
+        wedges = common.join(
+            edges, mid, "inner", ("dst",), ("b",)
         ).map_batches(
             lambda t: pa.table({"a": t["src"], "c": t["c"]}),
             batch_format="pyarrow",
@@ -519,12 +489,7 @@ def triangle_count_cosuppliers(sf_dir: str):
             ),
             batch_format="pyarrow",
         )
-        tri = wedges.join(
-            closing,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("a", "c"),
-        )
+        tri = common.join(wedges, closing, "inner", ("a", "c"))
         n_triangles = tri.count()
 
     return pa.table(

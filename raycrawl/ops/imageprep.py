@@ -32,6 +32,7 @@ import ray.data
 
 from .common import (
     combine_small,
+    isin_sorted,
     pool_size,
     round_half_away,
     table,
@@ -915,8 +916,7 @@ def curated_corpus_export(sf_dir: str, out_dir: str | None = None):
             h[i], w[i] = px.shape[0], px.shape[1]
         aspect = w / np.maximum(h, 1)
         q_ok = (np.minimum(w, h) >= 40) & (aspect >= 0.5) & (aspect <= 2.0)
-        pos = np.searchsorted(ks, ids)
-        is_keeper = (pos < len(ks)) & (ks[np.minimum(pos, len(ks) - 1)] == ids)
+        is_keeper = isin_sorted(ks, ids)
         d = np.array([int(x[4:]) for x in ids], dtype=np.int64)
         u = ((d * 2654435761) % 4294967296).astype(np.float64) / 4294967296.0
         a_ok = u >= 0.3

@@ -24,7 +24,7 @@ import ray
 
 from . import common
 from .common import (LOOKUP_BROADCAST_MAX, SMALL_COMBINE_ROWS,
-                     bucketed_group_agg, join_partitions, md5_u64_le,
+                     bucketed_group_agg, lookup_sorted, md5_u64_le,
                      round_half_away, table, table_num_rows)
 from .queries import register
 
@@ -267,6 +267,10 @@ def train_eval_split_counts(sf_dir: str):
 )
 def customer_urgent_order_stats(sf_dir: str):
     def cents(t: pa.Table) -> pa.Table:
+        # filtered here, not by a filter stage in front: Ray skips a
+        # map_batches UDF on an empty block and emits it without columns,
+        # and the join below needs the typed empty side
+        t = t.filter(pc.equal(t["o_orderpriority"], "1-URGENT"))
         return pa.table(
             {
                 "o_custkey": t["o_custkey"],
@@ -282,7 +286,6 @@ def customer_urgent_order_stats(sf_dir: str):
 
     counts = bucketed_group_agg(
         table(sf_dir, "orders", ["o_custkey", "o_totalprice", "o_orderpriority"])
-        .filter(expr="o_orderpriority == '1-URGENT'")
         .map_batches(cents, batch_format="pyarrow"),
         ["o_custkey"],
         lambda g: g.groupby("o_custkey", as_index=False).agg(
@@ -299,36 +302,24 @@ def customer_urgent_order_stats(sf_dir: str):
     counts = counts.materialize()
     if common.gate("customer_urgent_order_stats", "urgent_counts",
                    counts.count(), LOOKUP_BROADCAST_MAX):
-        cdf = counts.to_pandas()
-        if len(cdf) == 0:
-            # no matching orders at all: an empty aggregate has no columns
-            empty = np.array([], dtype=np.int64)
-            ref = ray.put((empty, empty, empty))
-        else:
-            cdf = cdf.sort_values("o_custkey")
-            # broadcast three SORTED numpy arrays (zero-copy out of plasma
-            # on every ray.get, unlike a pickled dict) and look up per
-            # batch with one searchsorted — ~24 B/row for real this time
-            ref = ray.put(
-                (
-                    cdf["o_custkey"].to_numpy(np.int64),
-                    cdf["n"].to_numpy(np.int64),
-                    cdf["spend_c"].to_numpy(np.int64),
-                )
+        # (to_pandas drops the columns of an all-empty dataset)
+        cdf = counts.to_pandas().reindex(
+            columns=["o_custkey", "n", "spend_c"]).sort_values("o_custkey")
+        # broadcast three SORTED numpy arrays (zero-copy out of plasma on
+        # every ray.get, unlike a pickled dict) and look up per batch with
+        # one searchsorted — ~24 B/row for real this time
+        ref = ray.put(
+            (
+                cdf["o_custkey"].to_numpy(np.int64),
+                cdf["n"].to_numpy(np.int64),
+                cdf["spend_c"].to_numpy(np.int64),
             )
+        )
 
         def lookup(t: pa.Table, *, ref) -> pa.Table:
             keys_s, n_s, sp_s = ray.get(ref)
             keys = t["c_custkey"].to_numpy(zero_copy_only=False)
-            if len(keys_s) == 0:  # no urgent orders at all -> all zeros
-                ns = np.zeros(len(keys), dtype=np.int64)
-                sp = np.zeros(len(keys), dtype=np.int64)
-            else:
-                pos_c = np.clip(np.searchsorted(keys_s, keys), 0,
-                                len(keys_s) - 1)
-                hit = keys_s[pos_c] == keys
-                ns = np.where(hit, n_s[pos_c], 0)
-                sp = np.where(hit, sp_s[pos_c], 0)
+            _, ns, sp = lookup_sorted(keys_s, keys, n_s, sp_s)
             return pa.table(
                 {
                     "c_custkey": t["c_custkey"],
@@ -341,13 +332,8 @@ def customer_urgent_order_stats(sf_dir: str):
         return cust.map_batches(lookup, fn_kwargs={"ref": ref},
                                 batch_format="pyarrow")
 
-    joined = cust.join(
-        counts,
-        join_type="left_outer",
-        num_partitions=join_partitions(),
-        on=("c_custkey",),
-        right_on=("o_custkey",),
-    )
+    joined = common.join(cust, counts, "left_outer", ("c_custkey",),
+                         ("o_custkey",))
 
     def finish(t: pa.Table) -> pa.Table:
         n = pc.fill_null(pc.cast(t["n"], pa.int64()), 0)
@@ -862,16 +848,11 @@ def doc_embedding_label_mix(sf_dir: str):
         def partial(t: pa.Table, *, ref) -> pa.Table:
             vid, lab = ray.get(ref)
             ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            if len(vid):
-                pos = np.clip(np.searchsorted(vid, ids), 0, len(vid) - 1)
-                hit = vid[pos] == ids
-            else:
-                hit = np.zeros(len(ids), dtype=bool)
-                pos = np.zeros(len(ids), dtype=np.int64)
+            hit, label = lookup_sorted(vid, ids, lab)
             tmp = pa.table(
                 {
                     "lang": t["lang"].filter(pa.array(hit)),
-                    "label": pa.array(lab[pos[hit]], pa.int64()),
+                    "label": pa.array(label[hit], pa.int64()),
                     "n_chars": t["n_chars"].filter(pa.array(hit)),
                 }
             )
@@ -886,16 +867,7 @@ def doc_embedding_label_mix(sf_dir: str):
         )
     else:  # embeddings table too big to broadcast
         emb_ds = table(sf_dir, "embeddings", ["vec_id", "label"])
-        from .common import join_partitions
-
-        n_parts = join_partitions()
-        joined = docs.join(
-            emb_ds,
-            join_type="inner",
-            num_partitions=n_parts,
-            on=("doc_id",),
-            right_on=("vec_id",),
-        )
+        joined = common.join(docs, emb_ds, "inner", ("doc_id",), ("vec_id",))
 
         def partial_joined(t: pa.Table) -> pa.Table:
             tmp = pa.table(

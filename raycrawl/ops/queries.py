@@ -22,7 +22,8 @@ from .common import (
     SMALL_COMBINE_ROWS,
     bucketed_group_agg,
     combine_small,
-    join_partitions,
+    isin_sorted,
+    lookup_sorted,
     table,
     table_num_rows,
 )
@@ -605,10 +606,8 @@ def user_event_profile(sf_dir: str):
 def weighted_priority_support(sf_dir: str):
     cust = table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     orders = table(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-    joined = orders.join(
-        cust, join_type="inner", num_partitions=join_partitions(),
-        on=("o_custkey",), right_on=("c_custkey",),
-    )
+    joined = common.join(orders, cust, "inner", ("o_custkey",),
+                         ("c_custkey",))
     votes = (
         joined.groupby(["c_nationkey", "o_orderpriority"])
         .aggregate(Count(alias_name="v"))
@@ -746,9 +745,9 @@ def regional_revenue(sf_dir: str):
             }
         )
 
-    joined = li.map_batches(rev_cents, batch_format="pyarrow").join(
-        orders, join_type="inner", num_partitions=join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    joined = common.join(
+        li.map_batches(rev_cents, batch_format="pyarrow"), orders, "inner",
+        ("l_orderkey",), ("o_orderkey",),
     )
 
     def region_partial(t: pa.Table, *, ref) -> pa.Table:
@@ -970,15 +969,9 @@ def rollup_revenue(sf_dir: str):
             partial, fn_kwargs={"ref": ref}, batch_format="pyarrow"
         )
     else:  # customer too big to broadcast: hash-partitioned join
-        n_parts = join_partitions()
         cust_ds = table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        joined = orders.join(
-            cust_ds,
-            join_type="inner",
-            num_partitions=n_parts,
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        )
+        joined = common.join(orders, cust_ds, "inner", ("o_custkey",),
+                             ("c_custkey",))
 
         def partial_joined(t: pa.Table) -> pa.Table:
             nk = t["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1163,13 +1156,8 @@ def local_supplier_revenue(sf_dir: str):
         )
     else:
         orders = table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-        joined = li.join(
-            orders,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        )
+        joined = common.join(li, orders, "inner", ("l_orderkey",),
+                             ("o_orderkey",))
 
     cust = (
         pads.dataset(f"{sf_dir}/customer.parquet")
@@ -1205,9 +1193,7 @@ def local_supplier_revenue(sf_dir: str):
         suppk = t["l_suppkey"].to_numpy(zero_copy_only=False)
         c_nat = cn[np.searchsorted(ck, custk)]  # FK: always present
         s_nat = sn[np.searchsorted(sk, suppk)]
-        pos = np.searchsorted(rn, c_nat)
-        pos = np.clip(pos, 0, len(rn) - 1)
-        keep = (c_nat == s_nat) & (rn[pos] == c_nat)
+        keep = (c_nat == s_nat) & isin_sorted(rn, c_nat)
         if not keep.any():
             return pa.table(
                 {
@@ -1889,10 +1875,7 @@ def promo_revenue_by_month(sf_dir: str):
             ),
             pa.int64(),
         ).to_numpy()
-        lp = t["l_partkey"].to_numpy()
-        pos = np.searchsorted(pk, lp)
-        pos_c = np.minimum(pos, max(len(pk) - 1, 0))
-        is_promo = (len(pk) > 0) & (pk[pos_c] == lp)
+        is_promo = isin_sorted(pk, t["l_partkey"].to_numpy())
         d = t["l_shipdate"]
         ym = (
             pc.year(d).to_numpy(zero_copy_only=False) * 100
@@ -2092,10 +2075,7 @@ def large_volume_customers(sf_dir: str):
 
     def attach(t: pa.Table, *, bref) -> pa.Table:
         ok, tq, ck_, cn_ = ray.get(bref)
-        keys = t["o_orderkey"].to_numpy()
-        pos = np.searchsorted(ok, keys)
-        pos_c = np.minimum(pos, max(len(ok) - 1, 0))
-        hit = (len(ok) > 0) & (ok[pos_c] == keys)
+        hit, qty = lookup_sorted(ok, t["o_orderkey"].to_numpy(), tq)
         t = t.filter(pa.array(hit))
         if not t.num_rows:
             return pa.table(
@@ -2117,7 +2097,7 @@ def large_volume_customers(sf_dir: str):
                 "o_totalprice": pa.array(
                     round_half_away(t["o_totalprice"].to_numpy(), 2)
                 ),
-                "total_qty": pa.array(tq[np.searchsorted(ok, keys)]),
+                "total_qty": pa.array(qty[hit]),
             }
         )
 

@@ -27,7 +27,6 @@ from .common import (
     LOOKUP_BROADCAST_MAX,
     bucketed_group_agg,
     combine_small,
-    join_partitions,
     round_half_away,
     table,
     table_num_rows,
@@ -238,7 +237,7 @@ def cheapest_supplier_leaderboard(sf_dir: str):
 # Two fact tables meet on orderkey: below LOOKUP_BROADCAST_MAX the orders
 # side broadcasts ONCE (ray.put of three parallel arrays, searchsorted
 # lookup per block — orderkeys are a sorted PK); above it, a hash join
-# partitioned through join_partitions(). Both paths collapse to a ≤5-row
+# through common.join. Both paths collapse to a ≤5-row
 # matrix via fixed-cardinality partials, so nothing wide leaves the join.
 
 
@@ -306,13 +305,10 @@ def late_shipment_priority_matrix(sf_dir: str):
             partial, fn_kwargs={"ref": ref}, batch_format="pyarrow"
         )
     else:
-        joined = li.join(
-            table(sf_dir, "orders",
-                  ["o_orderkey", "o_orderdate", "o_orderpriority"]),
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
+        joined = common.join(
+            li, table(sf_dir, "orders",
+                      ["o_orderkey", "o_orderdate", "o_orderpriority"]),
+            "inner", ("l_orderkey",), ("o_orderkey",),
         )
 
         def partial_joined(t: pa.Table) -> pa.Table:

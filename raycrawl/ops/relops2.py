@@ -13,7 +13,7 @@ iterating joined frames; `Page__Location_Based_Stance_Detection.py:71-93`
 computes weighted support ratios over a broadcast dimension) into
 distributed Ray Data pipelines: facts stream as Arrow blocks, dimension
 sides broadcast below an adaptive gate and hash-join above it
-(`join_partitions()`), high-cardinality exchanges go through
+(`common.join`), high-cardinality exchanges go through
 `bucketed_group_agg`, and top-k is per-block partials + one local merge.
 """
 
@@ -32,7 +32,7 @@ from .common import (
     bucketed_group_agg,
     combine_small,
     isin_sorted,
-    join_partitions,
+    lookup_sorted,
     round_half_away,
     table,
     table_num_rows,
@@ -145,7 +145,7 @@ def shipping_priority_topk(sf_dir: str):
                     od["o_orderpriority"].map(pcode).to_numpy(np.int64),
                 )
             )
-        elif len(segk):
+        else:
             # customer keys broadcast, orders too big → semi-filter orders
             # map-side, hash-join the per-order revenue
             keys_ref = ray.put(segk)
@@ -160,11 +160,6 @@ def shipping_priority_topk(sf_dir: str):
                 )
 
             ord_f = orders.map_batches(filt_orders, batch_format="pyarrow")
-        else:
-            # no customer in the segment, so no order qualifies: broadcast
-            # the empty order set (a hash join with an empty side fails)
-            prios = np.array([], object)
-            ord_ref = ray.put((segk, segk, segk))
     else:
         cust = table(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).filter(
             expr=f"c_mktsegment == '{_Q3_SEG}'"
@@ -172,17 +167,10 @@ def shipping_priority_topk(sf_dir: str):
         def early_only(t: pa.Table) -> pa.Table:
             return t.filter(pa.array(_ts_us(t, "o_orderdate") < cut_us))
 
-        ord_f = (
-            orders.map_batches(early_only, batch_format="pyarrow")
-            .join(
-                cust,
-                join_type="inner",
-                num_partitions=join_partitions(),
-                on=("o_custkey",),
-                right_on=("c_custkey",),
-            )
-            .select_columns(["o_orderkey", "o_orderdate", "o_orderpriority"])
-        )
+        ord_f = common.join(
+            orders.map_batches(early_only, batch_format="pyarrow"), cust,
+            "inner", ("o_custkey",), ("c_custkey",),
+        ).select_columns(["o_orderkey", "o_orderdate", "o_orderpriority"])
 
     li = table(
         sf_dir, "lineitem",
@@ -252,12 +240,7 @@ def shipping_priority_topk(sf_dir: str):
             lambda df: to_arrow(attach(df)), batch_format="pandas"
         )
     else:
-        joined = rev.join(
-            ord_f,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("o_orderkey",),
-        )
+        joined = common.join(rev, ord_f, "inner", ("o_orderkey",))
 
     def topk(t: pa.Table) -> pa.Table:
         if isinstance(t, pd.DataFrame):  # empty pandas block leak-through
@@ -390,12 +373,7 @@ def order_priority_exists_check(sf_dir: str):
     orders = table(
         sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]
     )
-    joined = max_ship.join(
-        orders,
-        join_type="inner",
-        num_partitions=join_partitions(),
-        on=("o_orderkey",),
-    )
+    joined = common.join(max_ship, orders, "inner", ("o_orderkey",))
 
     def partial_j(t: pa.Table) -> pa.Table:
         if isinstance(t, pd.DataFrame):
@@ -497,12 +475,10 @@ def returned_item_report(sf_dir: str):
             keys, cust = ray.get(ref)
             t, rev = rev_cents(t)
             ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(keys, ok)
-            pos_c = np.minimum(pos, max(len(keys) - 1, 0))
-            hit = (len(keys) > 0) & (keys[pos_c] == ok)
+            hit, ck = lookup_sorted(keys, ok, cust)
             m = pa.table(
                 {
-                    "o_custkey": pa.array(cust[pos_c[hit]], pa.int64()),
+                    "o_custkey": pa.array(ck[hit], pa.int64()),
                     "cents": rev.filter(pa.array(hit)),
                 }
             )
@@ -545,12 +521,7 @@ def returned_item_report(sf_dir: str):
 
         ord_f = orders.map_batches(window, batch_format="pyarrow")
 
-        joined = rev_per_order.join(
-            ord_f,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("o_orderkey",),
-        )
+        joined = common.join(rev_per_order, ord_f, "inner", ("o_orderkey",))
 
     def per_cust_partial(t: pa.Table) -> pa.Table:
         if isinstance(t, pd.DataFrame):
@@ -574,6 +545,9 @@ def returned_item_report(sf_dir: str):
     def topk(t) -> pa.Table:
         if isinstance(t, pd.DataFrame):
             t = pa.Table.from_pandas(t, preserve_index=False)
+        if not t.num_rows:  # an all-empty stream arrives without columns
+            return pa.table({"o_custkey": pa.array([], pa.int64()),
+                             "cents": pa.array([], pa.int64())})
         idx = pc.sort_indices(
             t, sort_keys=[("cents", "descending"), ("o_custkey", "ascending")]
         )
@@ -707,11 +681,7 @@ def disjunctive_part_revenue(sf_dir: str):
         def partial(t: pa.Table) -> pa.Table:
             keys, arms, sizes = ray.get(ref)
             pk = t["l_partkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(keys, pk)
-            pos_c = np.minimum(pos, max(len(keys) - 1, 0))
-            hit = (len(keys) > 0) & (keys[pos_c] == pk)
-            arm = np.where(hit, arms[pos_c], -1)
-            size = np.where(hit, sizes[pos_c], 0)
+            _, arm, size = lookup_sorted(keys, pk, arms, sizes, fill=-1)
             qty = t["l_quantity"].to_numpy(zero_copy_only=False)
             return block_rev(_q19_mask(arm, size, qty), t)
 
@@ -723,13 +693,8 @@ def disjunctive_part_revenue(sf_dir: str):
         part = table(
             sf_dir, "part", ["p_partkey", "p_brand", "p_size"]
         ).map_batches(brand_only, batch_format="pyarrow")
-        joined = li.join(
-            part,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        )
+        joined = common.join(li, part, "inner", ("l_partkey",),
+                             ("p_partkey",))
         arm_code = {b: i for i, b in enumerate(brands)}
 
         def partial_j(t) -> pa.Table:
@@ -743,11 +708,13 @@ def disjunctive_part_revenue(sf_dir: str):
         partials = joined.map_batches(partial_j, batch_format="pyarrow")
 
     def final(t: pa.Table) -> pa.Table:
-        cents = pc.sum(t["cents"]).as_py() or 0
-        n = pc.sum(t["n_lines"]).as_py() or 0
+        cents = n = 0
+        if t.num_rows:  # an all-empty partial stream arrives without columns
+            cents, n = pc.sum(t["cents"]).as_py(), pc.sum(t["n_lines"]).as_py()
         return pa.table(
-            {
-                "revenue": pa.array([cents / 100.0], pa.float64()),
+            {  # SQL's SUM over no line is NULL
+                "revenue": pa.array([cents / 100.0 if n else None],
+                                    pa.float64()),
                 "n_lines": pa.array([n], pa.int64()),
             }
         )
@@ -834,13 +801,8 @@ def nation_yoy_revenue_growth(sf_dir: str):
         partials = orders.map_batches(partial, batch_format="pyarrow")
     else:
         cust_ds = table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        joined = orders.join(
-            cust_ds,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        )
+        joined = common.join(orders, cust_ds, "inner", ("o_custkey",),
+                             ("c_custkey",))
 
         def partial_j(t) -> pa.Table:
             if isinstance(t, pd.DataFrame):
@@ -1081,13 +1043,8 @@ def segment_priority_chi2(sf_dir: str):
         partials = orders.map_batches(partial, batch_format="pyarrow")
     else:
         cust_ds = table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-        joined = orders.join(
-            cust_ds,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        )
+        joined = common.join(orders, cust_ds, "inner", ("o_custkey",),
+                             ("c_custkey",))
 
         def partial_j(t) -> pa.Table:
             if isinstance(t, pd.DataFrame):
@@ -1278,10 +1235,7 @@ def excess_quantity_suppliers(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         keys = ray.get(pk_ref)
         lp = t["l_partkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, lp)
-        pos_c = np.minimum(pos, max(len(keys) - 1, 0))
-        hit = (len(keys) > 0) & (keys[pos_c] == lp)
-        t = t.filter(pa.array(hit))
+        t = t.filter(pa.array(isin_sorted(keys, lp)))
         m = pa.table(
             {
                 "l_partkey": t["l_partkey"],
@@ -1385,13 +1339,11 @@ def brand_type_supplier_counts(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         keys, bc, tc = ray.get(ref)
         lp = t["l_partkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, lp)
-        pos_c = np.minimum(pos, max(len(keys) - 1, 0))
-        hit = (len(keys) > 0) & (keys[pos_c] == lp)
+        hit, b, ty = lookup_sorted(keys, lp, bc, tc)
         m = pa.table(
             {
-                "b": pa.array(bc[pos_c[hit]], pa.int64()),
-                "ty": pa.array(tc[pos_c[hit]], pa.int64()),
+                "b": pa.array(b[hit], pa.int64()),
+                "ty": pa.array(ty[hit], pa.int64()),
                 "s": pc.cast(
                     t.filter(pa.array(hit))["l_suppkey"], pa.int64()
                 ),
@@ -1785,12 +1737,9 @@ def nation_revenue_entropy(sf_dir: str):
 
         partials = orders.map_batches(partial, batch_format="pyarrow")
     else:
-        joined = orders.join(
-            table(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("o_custkey",),
-            right_on=("c_custkey",),
+        joined = common.join(
+            orders, table(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
+            "inner", ("o_custkey",), ("c_custkey",),
         )
 
         def partial_j(t) -> pa.Table:
@@ -1866,10 +1815,7 @@ def suppliers_covering_brand(sf_dir: str):
 
     def pair_partial(df: pd.DataFrame, *, ref) -> pd.DataFrame:
         keys = ray.get(ref)
-        lp = df["l_partkey"].to_numpy(np.int64)
-        pos = np.searchsorted(keys, lp)
-        pos_c = np.minimum(pos, max(total - 1, 0))
-        hit = (total > 0) & (keys[pos_c] == lp)
+        hit = isin_sorted(keys, df["l_partkey"].to_numpy(np.int64))
         return df.loc[hit, ["l_suppkey", "l_partkey"]].drop_duplicates()
 
     pairs = bucketed_group_agg(

@@ -14,8 +14,8 @@ tables through an intermediate adjacency before aggregating, and
 `Page__Location_Based_Stance_Detection.py:71-93` computes a share-of-
 total ratio against a broadcast dimension — into distributed Ray Data
 plans: every dimension side broadcasts as sorted int64 key arrays under
-an adaptive gate (searchsorted probes inside ``map_batches``; ship once
-via ``ray.put``) and hash-joins through ``join_partitions()`` above it;
+an adaptive gate (``lookup_sorted`` probes inside ``map_batches``; ship
+once via ``ray.put``) and hash-joins through ``common.join`` above it;
 fixed-cardinality group keys collapse map-side and finish in ONE local
 ``combine_small``; the only unbounded-key exchange (per-order supplier
 sets in the Q21 shape) goes through ``bucketed_group_agg``.
@@ -39,7 +39,8 @@ from .common import (
     LOOKUP_BROADCAST_MAX,
     bucketed_group_agg,
     combine_small,
-    join_partitions,
+    isin_sorted,
+    lookup_sorted,
     table,
     table_num_rows,
 )
@@ -51,14 +52,6 @@ def _sorted_lookup(keys: np.ndarray, vals: np.ndarray):
     """Sort (keys, vals) by key for searchsorted probing."""
     order = np.argsort(keys, kind="stable")
     return keys[order], vals[order]
-
-
-def _probe(keys_sorted: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """searchsorted membership probe: returns (positions, found_mask)."""
-    pos = np.searchsorted(keys_sorted, probe)
-    pos_c = np.minimum(pos, max(len(keys_sorted) - 1, 0))
-    found = (len(keys_sorted) > 0) & (keys_sorted[pos_c] == probe)
-    return pos_c, found
 
 
 def _orders_and_part_fit(op: str, sf_dir: str) -> bool:
@@ -168,8 +161,8 @@ def nation_pair_trade_volume(sf_dir: str):
         )
         okeys = od["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         ocust = od["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        pos, found = _probe(ck, ocust)
-        okeys, onat = okeys[found], cn[pos[found]]
+        found, onat = lookup_sorted(ck, ocust, cn)
+        okeys, onat = okeys[found], onat[found]
         okeys, onat = _sorted_lookup(okeys, onat)
         ord_ref = ray.put((okeys, onat))
 
@@ -179,12 +172,12 @@ def nation_pair_trade_volume(sf_dir: str):
             if not t.num_rows:
                 return _q7_empty()
             ok, on = ray.get(ord_ref)
-            pos_o, found_o = _probe(
-                ok, t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+            found_o, cust_nk = lookup_sorted(
+                ok, t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64),
+                on,
             )
             t = t.filter(pa.array(found_o))
-            cust_nk = on[pos_o[found_o]]
-            return _q7_partial(t, cust_nk, supp_ref, nk1, nk2)
+            return _q7_partial(t, cust_nk[found_o], supp_ref, nk1, nk2)
 
         partials = table(
             sf_dir, "lineitem",
@@ -196,12 +189,9 @@ def nation_pair_trade_volume(sf_dir: str):
             table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
             .filter(expr=f"c_nationkey == {nk1} or c_nationkey == {nk2}")
         )
-        ord_f = table(sf_dir, "orders", ["o_orderkey", "o_custkey"]).join(
-            cust_ds,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("o_custkey",),
-            right_on=("c_custkey",),
+        ord_f = common.join(
+            table(sf_dir, "orders", ["o_orderkey", "o_custkey"]), cust_ds,
+            "inner", ("o_custkey",), ("c_custkey",),
         ).select_columns(["o_orderkey", "c_nationkey"])
 
         def ship_window(t: pa.Table) -> pa.Table:
@@ -213,13 +203,8 @@ def nation_pair_trade_volume(sf_dir: str):
             ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount",
              "l_shipdate"],
         ).map_batches(ship_window, batch_format="pyarrow")
-        joined = li.join(
-            ord_f,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        )
+        joined = common.join(li, ord_f, "inner", ("l_orderkey",),
+                             ("o_orderkey",))
 
         def partial_j(t) -> pa.Table:
             if isinstance(t, pd.DataFrame):
@@ -272,10 +257,9 @@ def _q7_partial(
     broadcast, keep only the two cross directions, collapse the block to
     (supp_nation, cust_nation, year) cents partials."""
     sk, sv = ray.get(supp_ref)
-    pos_s, _ = _probe(
-        sk, t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+    _, supp_nk = lookup_sorted(  # FK always present
+        sk, t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64), sv
     )
-    supp_nk = sv[pos_s]  # FK always present
     keep = ((supp_nk == nk1) & (cust_nk == nk2)) | (
         (supp_nk == nk2) & (cust_nk == nk1)
     )
@@ -397,7 +381,7 @@ def nation_market_share(sf_dir: str):
             zero_copy_only=False
         )
         in_window = (ts >= lo_us) & (ts < hi_us)
-        _, in_region = _probe(
+        in_region = isin_sorted(
             ck, od["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         )
         keep = in_window & in_region
@@ -413,7 +397,7 @@ def nation_market_share(sf_dir: str):
 
         def partial(t: pa.Table) -> pa.Table:
             pkk = ray.get(part_ref)
-            _, is_promo = _probe(
+            is_promo = isin_sorted(
                 pkk,
                 t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64),
             )
@@ -421,14 +405,15 @@ def nation_market_share(sf_dir: str):
             if not t.num_rows:
                 return _q8_empty()
             ok, oy = ray.get(ord_ref)
-            pos_o, found_o = _probe(
+            found_o, o_year = lookup_sorted(
                 ok,
                 t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64),
+                oy,
             )
             t = t.filter(pa.array(found_o))
             if not t.num_rows:
                 return _q8_empty()
-            return _q8_partial(t, oy[pos_o[found_o]], supp_ref, target_nk)
+            return _q8_partial(t, o_year[found_o], supp_ref, target_nk)
 
         partials = table(
             sf_dir, "lineitem",
@@ -458,18 +443,11 @@ def nation_market_share(sf_dir: str):
                 }
             )
 
-        ord_f = (
+        ord_f = common.join(
             table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-            .map_batches(ord_window, batch_format="pyarrow")
-            .join(
-                cust_ds,
-                join_type="inner",
-                num_partitions=join_partitions(),
-                on=("o_custkey",),
-                right_on=("c_custkey",),
-            )
-            .select_columns(["o_orderkey", "o_year"])
-        )
+            .map_batches(ord_window, batch_format="pyarrow"),
+            cust_ds, "inner", ("o_custkey",), ("c_custkey",),
+        ).select_columns(["o_orderkey", "o_year"])
         part_ds = (
             table(sf_dir, "part", ["p_partkey", "p_type"])
             .filter(expr=f"p_type == '{_Q8_TYPE}'")
@@ -479,18 +457,10 @@ def nation_market_share(sf_dir: str):
             sf_dir, "lineitem",
             ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice",
              "l_discount"],
-        ).join(
-            part_ds,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        ).join(
-            ord_f,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
+        )
+        li = common.join(
+            common.join(li, part_ds, "inner", ("l_partkey",), ("p_partkey",)),
+            ord_f, "inner", ("l_orderkey",), ("o_orderkey",),
         )
 
         def partial_j(t) -> pa.Table:
@@ -544,10 +514,10 @@ def _q8_partial(
     t: pa.Table, o_year: np.ndarray, supp_ref, target_nk: int
 ) -> pa.Table:
     sk, sv = ray.get(supp_ref)
-    pos_s, _ = _probe(
-        sk, t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+    _, snk = lookup_sorted(
+        sk, t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64), sv
     )
-    target = sv[pos_s] == target_nk
+    target = snk == target_nk
     cents = _cents(
         pc.multiply(
             t["l_extendedprice"],
@@ -629,22 +599,23 @@ def nation_part_profit(sf_dir: str):
 
         def partial(t: pa.Table) -> pa.Table:
             pkk, prpp = ray.get(part_ref)
-            pos_p, is_tok = _probe(
+            is_tok, rp = lookup_sorted(
                 pkk,
                 t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64),
+                prpp,
             )
             t2 = t.filter(pa.array(is_tok))
             if not t2.num_rows:
                 return _q9_empty()
-            rp = prpp[pos_p[is_tok]]
             ok2, oy2 = ray.get(ord_ref)
-            pos_o, _ = _probe(
+            _, o_year = lookup_sorted(
                 ok2,
                 t2["l_orderkey"].to_numpy(zero_copy_only=False).astype(
                     np.int64
                 ),
+                oy2,
             )
-            return _q9_partial(t2, rp, oy2[pos_o], supp_ref)
+            return _q9_partial(t2, rp[is_tok], o_year, supp_ref)
 
         partials = table(
             sf_dir, "lineitem",
@@ -677,18 +648,10 @@ def nation_part_profit(sf_dir: str):
             sf_dir, "lineitem",
             ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
              "l_extendedprice", "l_discount"],
-        ).join(
-            part_ds,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        ).join(
-            ord_ds,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
+        )
+        li = common.join(
+            common.join(li, part_ds, "inner", ("l_partkey",), ("p_partkey",)),
+            ord_ds, "inner", ("l_orderkey",), ("o_orderkey",),
         )
 
         def partial_j(t) -> pa.Table:
@@ -738,10 +701,9 @@ def _q9_partial(
     t: pa.Table, retailprice: np.ndarray, o_year: np.ndarray, supp_ref
 ) -> pa.Table:
     sk, sv = ray.get(supp_ref)
-    pos_s, _ = _probe(
-        sk, t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+    _, nk = lookup_sorted(
+        sk, t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64), sv
     )
-    nk = sv[pos_s]
     ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
     disc = t["l_discount"].to_numpy(zero_copy_only=False)
     qty = t["l_quantity"].to_numpy(zero_copy_only=False)
@@ -833,9 +795,9 @@ def sole_late_shipper_suppliers(sf_dir: str):
             lk = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(
                 np.int64
             )
-            pos, _ = _probe(okk, lk)  # FK always present
+            _, ots_l = lookup_sorted(okk, lk, otss)  # FK always present
             late = (
-                _ts_us(t, "l_shipdate") > otss[pos] + _Q21_LATE_US
+                _ts_us(t, "l_shipdate") > ots_l + _Q21_LATE_US
             ).astype(np.int64)
             m = pa.table(
                 {
@@ -852,12 +814,9 @@ def sole_late_shipper_suppliers(sf_dir: str):
 
         ol = li.map_batches(partial, batch_format="pyarrow")
     else:
-        joined = li.join(
-            table(sf_dir, "orders", ["o_orderkey", "o_orderdate"]),
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
+        joined = common.join(
+            li, table(sf_dir, "orders", ["o_orderkey", "o_orderdate"]),
+            "inner", ("l_orderkey",), ("o_orderkey",),
         )
 
         def partial_j(t) -> pa.Table:

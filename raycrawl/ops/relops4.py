@@ -47,7 +47,6 @@ from . import common
 from .common import (
     bucketed_group_agg,
     combine_small,
-    join_partitions,
     round_half_away,
     table,
     table_num_rows,
@@ -400,12 +399,8 @@ def brand_association_rules(sf_dir: str):
             m = pa.table({"ok": t["l_orderkey"], "brand_code": codes_arr})
             return m.group_by(["ok", "brand_code"]).aggregate([])
 
-        ob = li.join(
-            part_ds,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
+        ob = common.join(
+            li, part_ds, "inner", ("l_partkey",), ("p_partkey",)
         ).map_batches(post, batch_format="pyarrow")
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:

@@ -16,7 +16,8 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count
 
-from .common import join_partitions, md5_u64_le, round_half_away, table
+from . import common
+from .common import md5_u64_le, round_half_away, table
 from .queries import register
 
 
@@ -37,10 +38,8 @@ def orders_per_nation_joined(sf_dir: str):
         expr="o_totalprice > 100000"
     )
     cust = table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    joined = orders.join(
-        cust, join_type="inner", num_partitions=join_partitions(),
-        on=("o_custkey",), right_on=("c_custkey",),
-    )
+    joined = common.join(orders, cust, "inner", ("o_custkey",),
+                         ("c_custkey",))
     return joined.groupby("c_nationkey").aggregate(Count(alias_name="n"))
 
 

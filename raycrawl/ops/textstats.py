@@ -30,7 +30,6 @@ from . import common
 from .common import (
     bucketed_group_agg,
     combine_small,
-    join_partitions,
     md5_u64_le,
     round_half_away,
     table,
@@ -187,11 +186,8 @@ def pmi_top_bigrams(sf_dir: str):
         u2 = uni.map_batches(
             lambda t: t.rename_columns(["w2", "c2"]), batch_format="pyarrow"
         )
-        j = cand.join(
-            u1, join_type="inner", num_partitions=join_partitions(), on=("w1",)
-        ).join(
-            u2, join_type="inner", num_partitions=join_partitions(), on=("w2",)
-        )
+        j = common.join(common.join(cand, u1, "inner", ("w1",)), u2,
+                        "inner", ("w2",))
 
     def score_topk(t) -> pa.Table:
         if not isinstance(t, pd.DataFrame):

@@ -18,7 +18,7 @@ import ray
 from ray.data.aggregate import Count
 
 from ..ops import common
-from ..ops.common import bucketed_group_agg, join_partitions, table
+from ..ops.common import bucketed_group_agg, table
 from ..ops.queries import register
 
 
@@ -309,15 +309,13 @@ def propagate_labels(
                 # J7 guard, vectorized (Dataset.filter(fn) is per-row python)
                 return df[~df["src"].isin(ray.get(sref))]
 
-            voted = (
+            voted = common.join(
                 edges.map_batches(
                     drop_seed_edges, fn_kwargs={"sref": seed_ref},
                     batch_format="pandas",
-                )
-                .join(label_ds, join_type="inner", num_partitions=join_partitions(),
-                      on=("dst",))
-                .select_columns(["src", "dst_label"])
-            )
+                ),
+                label_ds, "inner", ("dst",),
+            ).select_columns(["src", "dst_label"])
 
         # map-side combiner: per-block (src, label) partial counts shrink
         # the exchange from one row per EDGE to ≤ users × labels rows

@@ -82,7 +82,7 @@ def test_pagerank_join_path_equals_broadcast_path(ray_session, force_gates):
     bc = pagerank(edges)  # broadcast regime (10 nodes)
     assert force_gates.sides("pagerank") == {"nodes": True}
     force_gates(False, "nodes")
-    jn = pagerank(cosupplier_edges(SF), num_partitions=1)
+    jn = pagerank(cosupplier_edges(SF))
     assert force_gates.sides("pagerank") == {"nodes": False}
     if not isinstance(jn, pd.DataFrame):
         jn = jn.to_pandas()
