@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -51,55 +52,32 @@ LOOKUP_BROADCAST_MAX = 1_000_000
 
 
 def combine_small(partials: ray.data.Dataset, combine_fn) -> pa.Table:
-    """Final combine for a BOUNDED map-side partial-aggregate stream.
+    """Final combine for a map-side partial-aggregate stream whose final
+    result is small: ``combine_fn`` runs over every partial block in ONE
+    Ray task (``_combine_task``), and only its result comes back.
 
     Ray Data's groupby is a sort-based all-to-all exchange with a fixed
     cost of 0.3–0.5 s per Sort exchange (measured on a 4-vCPU VM, Ray
     declared 4 CPUs) — pure overhead when the map-side combiner has
-    already collapsed the stream to a few rows per key. This helper instead
-    pulls the partial blocks zero-copy off the object store (the
-    map_batches tasks still ran distributed; only their ALREADY-AGGREGATED
-    outputs move) and runs the final combine as one local Arrow kernel on
-    the driver.
-
-    Scale contract: callers MUST bound the partial stream first — e.g. a
-    group key of fixed small cardinality (partial rows ≤ keys × blocks at
-    any input size) or a per-block top-k. An unbounded key goes through
-    ``bucketed_group_agg``, which picks one combine task or the bucketed
-    exchange by itself from the partial rows it observes.
+    already collapsed the stream to a few rows per key. The driver holds
+    the partial blocks' refs and nothing else; ``combine_fn`` gets them
+    as one Arrow table and returns the result (any picklable value). A
+    per-key result that grows with the data goes through
+    ``bucketed_group_agg`` instead, which picks this task or the bucketed
+    exchange from the partial rows it observes.
     """
-    import pandas as pd
-
-    # Pull block refs straight off the ref-bundle iterator — ONE
-    # execution. (`Dataset.to_arrow_refs` in Ray 2.49 calls
+    # Block refs straight off the ref-bundle iterator — ONE execution.
+    # (`Dataset.to_arrow_refs` in Ray 2.49 calls
     # `schema(fetch_if_missing=True)` after consuming, which re-executes
     # the whole un-materialized lineage — shuffles included — a second
     # time; measured as a full duplicate pipeline run with
     # `LimitOperator[limit=1]` on every combine_small-terminated op.)
     refs = [
-        br
+        ref
         for bundle in partials.iter_internal_ref_bundles()
-        for br in bundle.block_refs
+        for ref in bundle.block_refs
     ]
-    all_blocks = ray.get(refs)
-    # Raw block refs: a pandas-block stage upstream (e.g.
-    # bucketed_group_agg's map_groups) can leak EMPTY pandas blocks
-    # through a pyarrow map_batches — Ray skips the UDF on empty blocks,
-    # so they arrive here unconverted. Normalize them.
-    all_blocks = [
-        pa.Table.from_pandas(b, preserve_index=False)
-        if isinstance(b, pd.DataFrame) else b
-        for b in all_blocks
-    ]
-    blocks = [b for b in all_blocks if b.num_rows]
-    if not blocks:
-        carriers = [b for b in all_blocks if b.num_columns]
-        if carriers:  # empty blocks still carry the partial schema
-            return combine_fn(carriers[0])
-        sch = partials.schema()
-        base = getattr(sch, "base_schema", None) or pa.schema([])
-        return combine_fn(base.empty_table())
-    return combine_fn(pa.concat_tables(blocks, promote_options="default"))
+    return ray.get(next(_combine_task().remote(combine_fn, None, *refs)))
 
 
 def md5_u64_le(s: str) -> int:
@@ -326,16 +304,18 @@ def bucketed_group_agg(
     from the partial stream ``ds`` actually produced: ``ds`` runs once
     (``materialize``) and its blocks' metadata row counts are summed — the
     driver holds refs and metadata, never rows. ``group_buckets`` of that
-    sum gives the bucket count: 1 means ONE task runs ``bucket_fn`` over
-    all of them; more means the materialized rows go through the bucketed
-    Sort exchange.
+    sum gives the bucket count: 1 means ``bucket_fn`` runs over all of
+    them in the one combine task ``combine_small`` runs too
+    (``_combine_task``); more means the materialized rows go through the
+    bucketed Sort exchange. There is no driver tier.
 
     ``bucket_fn`` receives ALL rows of one bucket as a pandas DataFrame
     (every row of a key lands in exactly one bucket, so any per-key
     aggregate is computable) and returns its aggregated frame; on an empty
-    stream it gets one empty frame with the partial columns, so the result
-    keeps its columns. Buckets are ``pd.util.hash_pandas_object`` over the
-    key columns (deterministic, content-based) mod the bucket count."""
+    stream it gets one empty frame with the columns a block carries, and
+    when no block carries one the result is an empty frame, as from the
+    exchange. Buckets are ``pd.util.hash_pandas_object`` over the key
+    columns (deterministic, content-based) mod the bucket count."""
     import pandas as pd
 
     partials = ds.materialize()
@@ -346,7 +326,12 @@ def bucketed_group_agg(
     ]
     k = group_buckets(sum(meta.num_rows for _, meta in blocks))
     if k == 1:
-        return _one_task_combine([ref for ref, _ in blocks], bucket_fn)
+        def final(t: pa.Table) -> pd.DataFrame:
+            return bucket_fn(t.to_pandas()) if t.num_columns else pd.DataFrame()
+
+        cut = (int(ray.cluster_resources().get("CPU", 8)), ONE_TASK_SLICE_ROWS)
+        return ray.data.from_pandas_refs(list(_combine_task().remote(
+            final, cut, *(ref for ref, _ in blocks))))
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy(deep=False)
@@ -371,20 +356,28 @@ def bucketed_group_agg(
     )
 
 
-def _one_task_combine(refs: list, bucket_fn) -> ray.data.Dataset:
-    """``bucket_fn`` over every partial block in ONE Ray task. Its frame
-    comes back cut into blocks of at least ``ONE_TASK_SLICE_ROWS`` rows,
-    at most one per cluster CPU (a smaller result is one block). Empty
-    blocks are normalized the way ``combine_small`` does (empty pandas
-    blocks, schema-less blocks): an all-empty stream reaches ``bucket_fn``
-    as one empty frame with the partial columns, or, when no block names
-    a column, comes back as an empty frame, as from the exchange. The task
-    is a closure: a module-level remote function here would make its
-    worker import the whole ops package."""
-    parts = int(ray.cluster_resources().get("CPU", 8))
-    slice_rows = ONE_TASK_SLICE_ROWS
+@functools.cache
+def _combine_task():
+    """THE combine task of ``combine_small`` and of ``bucketed_group_agg``'s
+    one-bucket tier, as a remote function: ``.remote(final, cut, *refs)``
+    runs ``final`` over every partial block ``refs`` names in ONE Ray task
+    and returns the task's generator of output refs.
 
-    def combine(*blocks):  # a generator task: one object per output block
+    The blocks are normalized once, here: pandas blocks become Arrow (a
+    pandas-block stage upstream can leak empty pandas blocks through a
+    pyarrow ``map_batches``, which skips its UDF on an empty block), and
+    ``final`` gets the concatenated non-empty blocks — or, on a stream
+    with no rows, the first empty block that carries columns (the partial
+    schema, or the input's when Ray skipped the partial UDF), else a table
+    with no columns. Its result comes back whole (``cut`` None) or, for a
+    frame and ``cut`` = ``(parts, slice_rows)``, cut into blocks of at
+    least ``slice_rows`` rows, at most ``parts`` of them.
+
+    Made once per process: a task over a new function pays its export
+    too, 22 vs 11 ms a call (median of 40, 8 one-row blocks, Ray 4 CPUs on
+    4 vCPUs). A closure: a module-level remote function here would make
+    its worker import the whole ops package."""
+    def combine(final, cut, *blocks):  # one object per output block
         import pandas as pd
         import pyarrow as pa
 
@@ -394,21 +387,18 @@ def _one_task_combine(refs: list, bucket_fn) -> ray.data.Dataset:
             for b in blocks
         ]
         full = [t for t in tables if t.num_rows]
-        carriers = [t for t in tables if t.num_columns]
-        if full:
-            out = bucket_fn(
-                pa.concat_tables(full, promote_options="default").to_pandas()
-            )
-        elif carriers:  # empty blocks still carry the partial columns
-            out = bucket_fn(carriers[0].to_pandas())
-        else:
-            out = pd.DataFrame()
-        n = max(1, min(parts, len(out) // slice_rows))
-        step = max(1, -(-len(out) // n))
-        for lo in range(0, max(1, len(out)), step):
+        carriers = [t for t in tables if t.num_columns] or [pa.table({})]
+        out = final(pa.concat_tables(full, promote_options="default")
+                    if full else carriers[0])
+        n = min(cut[0], len(out) // cut[1]) if cut else 1
+        if n <= 1:
+            yield out
+            return
+        step = -(-len(out) // n)
+        for lo in range(0, len(out), step):
             yield out.iloc[lo:lo + step]
 
-    return ray.data.from_pandas_refs(list(ray.remote(combine).remote(*refs)))
+    return ray.remote(combine)
 
 
 def table_spread(

@@ -410,19 +410,42 @@ def crawl_frontier_metrics(sf_dir: str):
 )
 def crawl_host_fairness(sf_dir: str):
     """Per-host skew audit of the cached crawl's payload: politeness
-    should keep any one host from dominating the fetch budget. Per-block
-    (host, n) Arrow partials (fixed cardinality = hosts) + one local
-    combine; the SQL oracle replays the payload artifact tree (suppressed
-    / not_modified anti-filter included) via the `current` symlink."""
-    import numpy as np
-    import pandas as pd
+    should keep any one host from dominating the fetch budget. Per-host
+    counts are keyed on host (``host_count_totals``); the SQL oracle
+    replays the payload artifact tree (suppressed / not_modified
+    anti-filter included) via the `current` symlink."""
     import pyarrow as pa
+
+    from .common import round_half_away
+
+    tot = host_count_totals(fixture_dir("main", sf_dir))
+    hosts, total, top = tot["n_hosts"], tot["total_rows"], tot["max_host_rows"]
+    return pa.table(
+        {
+            "n_hosts": pa.array([hosts], pa.int64()),
+            "total_rows": pa.array([total], pa.int64()),
+            "max_host_rows": pa.array([top], pa.int64()),
+            "max_over_mean": pa.array(
+                round_half_away([top / (total / hosts)], 6)
+            ),
+            "top_host_share": pa.array(round_half_away([top / total], 6)),
+        }
+    )
+
+
+def host_count_totals(out_dir: str) -> dict[str, int]:
+    """Totals of a crawl's per-host payload row counts: ``n_hosts``,
+    ``total_rows``, ``max_host_rows`` and ``n_at_cap`` (hosts with at
+    least ``_QUOTA_PER_HOST`` rows). The host key is not bounded (10^10 URLs can span
+    any number of hosts), so the per-host counts are keyed through
+    ``bucketed_group_agg``; the totals come from one bounded row per
+    block of those counts, combined by ``combine_small``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
     from ..core.urltools import netlocs
     from ..crawler import read_payload
-    from .common import combine_small, round_half_away
-
-    ds = read_payload(fixture_dir("main", sf_dir), columns=["url"])
+    from .common import bucketed_group_agg, combine_small
 
     def partial(t: pa.Table) -> pa.Table:
         tmp = pa.table({"host": netlocs(t["url"])})
@@ -432,26 +455,30 @@ def crawl_host_fairness(sf_dir: str):
             .rename_columns(["host", "n"])
         )
 
-    def finish(t: pa.Table) -> pa.Table:
-        g = t.to_pandas().groupby("host", as_index=False)["n"].sum()
-        n = g["n"].to_numpy(dtype=np.float64)
-        total = float(n.sum())
-        return pa.table(
-            {
-                "n_hosts": pa.array([len(g)], pa.int64()),
-                "total_rows": pa.array([int(total)], pa.int64()),
-                "max_host_rows": pa.array([int(n.max())], pa.int64()),
-                "max_over_mean": pa.array(
-                    round_half_away([n.max() / (total / len(g))], 6)
-                ),
-                "top_host_share": pa.array(
-                    round_half_away([n.max() / total], 6)
-                ),
-            }
-        )
+    per_host = bucketed_group_agg(
+        read_payload(out_dir, columns=["url"])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["host"],
+        lambda g: g.groupby("host", as_index=False)["n"].sum(),
+    )
 
-    return combine_small(ds.map_batches(partial, batch_format="pyarrow"),
-                         finish)
+    def block_totals(t: pa.Table) -> pa.Table:
+        n = t["n"]
+        return pa.table({
+            "n_hosts": [t.num_rows], "total_rows": [pc.sum(n).as_py()],
+            "max_host_rows": [pc.max(n).as_py()],
+            "n_at_cap": [pc.sum(pc.greater_equal(n, _QUOTA_PER_HOST))
+                         .as_py()],
+        })
+
+    def finish(t: pa.Table) -> dict[str, int]:
+        tot = {c: pc.sum(t[c]).as_py()
+               for c in ("n_hosts", "total_rows", "n_at_cap")}
+        tot["max_host_rows"] = pc.max(t["max_host_rows"]).as_py()
+        return tot
+
+    return combine_small(
+        per_host.map_batches(block_totals, batch_format="pyarrow"), finish)
 
 
 @register("crawl_trap_gate_metrics",
@@ -1782,7 +1809,8 @@ def crawl_tier_feedback(sf_dir: str):
     boundaries: crawl → this op → resume/re-crawl with boosts, so the
     frontier heap order (priority, depth, discovery-time) now prefers
     hosts that served high-quality images. Per-block (host, n, area-sum)
-    Arrow partials (fixed cardinality = hosts) + one local combine; the
+    Arrow partials + one combine task; the boost map is a driver-side
+    crawl setting, so its per-host table comes back whole (DESIGN §2b). The
     SQL oracle replays the payload tree + quartile ranking via the
     `current` symlink; pytest additionally drives a boosted re-crawl
     end-to-end against oracle_crawl with the same boost map. CLI:
@@ -1877,54 +1905,31 @@ def tier_feedback_table(crawl_out_dir: str):
 def crawl_quota_audit(sf_dir: str):
     """Crawl-budget audit: run a crawl capped at 6 pages/host and verify
     the cap from its own outputs — per-host fetched counts from the
-    payload (fixed-cardinality partials) + the shards' quota_denied /
-    quota_dropped accounting from the checkpoint manifests. SQL oracle =
-    independent DuckDB replay of the same artifact tree via the quota
-    `current` symlink; pytest pins the no-host-over-quota invariant."""
-    import numpy as np
-    import pandas as pd
+    payload, keyed on host (``host_count_totals``) + the shards'
+    quota_denied / quota_dropped accounting from the checkpoint
+    manifests. SQL oracle = independent DuckDB replay of the same
+    artifact tree via the quota `current` symlink; pytest pins the
+    no-host-over-quota invariant."""
     import pyarrow as pa
 
-    from ..core.urltools import netlocs
-    from ..crawler import read_payload
-    from .common import combine_small
-
     out = fixture_dir("quota", sf_dir)
-    ds = read_payload(out, columns=["url"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tmp = pa.table({"host": netlocs(t["url"])})
-        return (
-            pa.TableGroupBy(tmp, "host")
-            .aggregate([([], "count_all")])
-            .rename_columns(["host", "n"])
-        )
-
+    tot = host_count_totals(out)
     frame = frontier_metrics_frame(out)
-
-    def finish(t: pa.Table) -> pa.Table:
-        g = t.to_pandas().groupby("host", as_index=False)["n"].sum()
-        n = g["n"].to_numpy(dtype=np.int64)
-        return pa.table(
-            {
-                "quota": pa.array([_QUOTA_PER_HOST], pa.int64()),
-                "n_hosts": pa.array([len(g)], pa.int64()),
-                "fetched_rows": pa.array([int(n.sum())], pa.int64()),
-                "max_host_rows": pa.array([int(n.max())], pa.int64()),
-                "n_hosts_at_cap": pa.array(
-                    [int((n >= _QUOTA_PER_HOST).sum())], pa.int64()
-                ),
-                "quota_denied": pa.array(
-                    [int(frame["quota_denied"].sum())], pa.int64()
-                ),
-                "quota_dropped": pa.array(
-                    [int(frame["quota_dropped"].sum())], pa.int64()
-                ),
-            }
-        )
-
-    return combine_small(ds.map_batches(partial, batch_format="pyarrow"),
-                         finish)
+    return pa.table(
+        {
+            "quota": pa.array([_QUOTA_PER_HOST], pa.int64()),
+            "n_hosts": pa.array([tot["n_hosts"]], pa.int64()),
+            "fetched_rows": pa.array([tot["total_rows"]], pa.int64()),
+            "max_host_rows": pa.array([tot["max_host_rows"]], pa.int64()),
+            "n_hosts_at_cap": pa.array([tot["n_at_cap"]], pa.int64()),
+            "quota_denied": pa.array(
+                [int(frame["quota_denied"].sum())], pa.int64()
+            ),
+            "quota_dropped": pa.array(
+                [int(frame["quota_dropped"].sum())], pa.int64()
+            ),
+        }
+    )
 
 
 # --------------------------------------------------------------------------
@@ -2348,11 +2353,12 @@ def crawl_depth_histogram(sf_dir: str):
 # The change detector joins the two generations' payloads on image_id
 # (canonical-URL sha1 — stable across recrawls) and compares the content
 # tuple; only common URLs count (added/removed pages are growth, not
-# churn). Grouping is by host (bounded by the host universe) so the whole
-# statistic is one hash join + one tiny combine — payload bytes never
-# read. Boost plan: hosts at/above the 75th change-rate percentile get
-# +2, above the median +1 — the same {host: boost} shape `crawl
-# --host-boosts` already consumes (tier-feedback precedent).
+# churn). The per-host counts are keyed on host (bucketed_group_agg: the
+# host key is not bounded), so the whole statistic is one hash join + one
+# keyed combine — payload bytes never read. Boost plan: hosts at/above
+# the 75th change-rate percentile get +2, above the median +1 — the same
+# {host: boost} shape `crawl --host-boosts` already consumes
+# (tier-feedback precedent).
 def host_change_rates(dir_a: str, dir_b: str):
     import glob as _glob
 
@@ -2364,7 +2370,7 @@ def host_change_rates(dir_a: str, dir_b: str):
     from ..core.urltools import host_of
     from ..crawler import read_payload
     from . import common
-    from .common import combine_small, round_half_away
+    from .common import bucketed_group_agg, round_half_away
 
     cols = ["image_id", "url", "w", "h", "fmt", "phash", "caption"]
     a = read_payload(dir_a, columns=cols)
@@ -2398,65 +2404,43 @@ def host_change_rates(dir_a: str, dir_b: str):
         )
         host = df["url"].map(host_of)
         g = pd.DataFrame({"host": host, "changed": changed.astype("int64")})
-        return g.groupby("host", as_index=False).agg(
+        g = g.groupby("host", as_index=False).agg(
             n_common=("changed", "size"), n_changed=("changed", "sum")
         )
+        g["n_unchanged"] = 0
+        return g
 
-    changed_tbl = combine_small(
-        joined.map_batches(partial, batch_format="pandas"),
-        lambda t: pa.Table.from_pandas(
-            t.to_pandas()
-            .groupby("host", as_index=False)[["n_common", "n_changed"]]
-            .sum(),
-            preserve_index=False,
-        ),
-    ).to_pandas()
+    counts = joined.map_batches(partial, batch_format="pandas")
 
     if nm_digests:
         nm_ref = ray.put(nm_digests)
 
         a2 = read_payload(dir_a, columns=["url", "url_hash"])
 
-        def nm_partial2(t: pa.Table) -> pa.Table:
+        def nm_partial(t: pa.Table) -> pd.DataFrame:
             nd = ray.get(nm_ref)
             keep = [d in nd for d in t["url_hash"].to_pylist()]
             hosts = [host_of(u) for u, k in zip(t["url"].to_pylist(), keep)
                      if k]
-            g = pd.DataFrame({"host": hosts})
-            out = (
-                g.groupby("host", as_index=False).size()
-                .rename(columns={"size": "n_unchanged"})
-            )
-            return pa.Table.from_pandas(out, preserve_index=False)
+            g = pd.DataFrame({"host": hosts}).groupby(
+                "host", as_index=False).size()
+            return pd.DataFrame({"host": g["host"], "n_common": 0,
+                                 "n_changed": 0, "n_unchanged": g["size"]})
 
-        nm_tbl = combine_small(
-            a2.map_batches(nm_partial2, batch_format="pyarrow"),
-            lambda t: pa.Table.from_pandas(
-                t.to_pandas()
-                .groupby("host", as_index=False)["n_unchanged"].sum(),
-                preserve_index=False,
-            ),
-        ).to_pandas()
-        g = changed_tbl.merge(nm_tbl, on="host", how="outer").fillna(0)
-        g["n_common"] = (
-            g["n_common"].astype("int64") + g["n_unchanged"].astype("int64")
-        )
-        g = g.drop(columns=["n_unchanged"])
-    else:
-        g = changed_tbl
-    g = g.sort_values("host", kind="stable")
-    nc = g["n_common"].to_numpy(np.int64)
-    ch = g["n_changed"].to_numpy(np.int64)
-    return pa.table(
-        {
-            "host": pa.array(g["host"], pa.string()),
-            "n_common": pa.array(nc),
-            "n_changed": pa.array(ch),
-            "change_rate": pa.array(
-                round_half_away(ch.astype(np.float64) / nc, 6)
-            ),
-        }
-    )
+        counts = counts.union(a2.map_batches(nm_partial,
+                                             batch_format="pyarrow"))
+
+    def per_host(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.groupby("host", as_index=False)[
+            ["n_common", "n_changed", "n_unchanged"]].sum()
+        nc = (g["n_common"] + g["n_unchanged"]).to_numpy(np.int64)
+        ch = g["n_changed"].to_numpy(np.int64)
+        return pd.DataFrame({
+            "host": g["host"], "n_common": nc, "n_changed": ch,
+            "change_rate": round_half_away(ch.astype(np.float64) / nc, 6),
+        })
+
+    return bucketed_group_agg(counts, ["host"], per_host)
 
 
 def recrawl_boost_plan(dir_a: str, dir_b: str) -> dict[str, int]:

@@ -1329,10 +1329,9 @@ def duplicate_ngram_spans(sf_dir: str):
     # dup-gram keys (~12 bits/key, 2 hashes → ~2% FPR) and drop
     # proven-clean gram rows BEFORE they enter the join; false positives
     # are removed by the inner join itself, so exactness is untouched.
-    # The bitmap is built by streaming dup_mat's blocks through the driver
-    # (memory = bitmap + one 8-B-key block; at >10k blocks this fold
-    # becomes a Ray actor tree like the novelty-dedup combine), then
-    # ray.put ONCE and read zero-copy in every filter task.
+    # The bitmap is built in the combine task, one dup_mat block (chunk)
+    # at a time (memory = bitmap + one 8-B-key chunk), then ray.put ONCE
+    # and read zero-copy in every filter task.
     #
     # Skip gate: each dup gram contributes ≥2 gram rows, so hit rows ≥
     # 2·n_dup. When that floor already exceeds ~25% of all gram rows
@@ -1343,14 +1342,16 @@ def duplicate_ngram_spans(sf_dir: str):
     left = grams
     if common.gate(op, "bloom", n_dup, grams.count() // 8):
         m_bits = 1 << max(23, min(31, (16 * max(n_dup, 1) - 1).bit_length()))
-        bits = np.zeros(m_bits // 8, dtype=np.uint8)
-        for ref in dup_mat.to_arrow_refs():
-            blk = ray.get(ref)
-            if blk.num_rows:
-                keys = blk["gram_h"].to_numpy(zero_copy_only=False)
-                _bloom_set(bits, keys.astype(np.int64).view(np.uint64),
-                           m_bits)
-        bloom_ref = ray.put(bits)
+
+        def build_bloom(t: pa.Table) -> np.ndarray:
+            bits = np.zeros(m_bits // 8, dtype=np.uint8)
+            for keys in t["gram_h"].chunks if t.num_rows else ():
+                _bloom_set(bits, keys.to_numpy(zero_copy_only=False)
+                           .astype(np.int64).view(np.uint64), m_bits)
+            return bits
+
+        bloom_ref = ray.put(combine_small(dup_mat.select_columns(["gram_h"]),
+                                          build_bloom))
 
         def bloom_prefilter(t: pa.Table) -> pa.Table:
             b = ray.get(bloom_ref)

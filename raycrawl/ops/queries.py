@@ -338,6 +338,15 @@ def orders_priority_histogram(sf_dir: str):
 
 
 # --------------------------------------------------------------------------
+def _no_events(**types: pa.DataType) -> pa.Table:
+    """The typed empty result of an events op over an events table with no
+    rows. Ray 2.49 skips a map_batches UDF on an empty block, so no partial
+    column exists for a final to build it from, and the ``to_pandas`` of an
+    empty Dataset has no columns at all."""
+    return pa.schema(list(types.items())).empty_table()
+
+
+# --------------------------------------------------------------------------
 # A8/M15 — event-time tumbling window counts (minute truncation,
 # TemporalAnalysis.py:7-13 + Visualization.py:87-91)
 @register(
@@ -348,6 +357,9 @@ def orders_priority_histogram(sf_dir: str):
     """,
 )
 def events_per_minute(sf_dir: str):
+    if not table_num_rows(sf_dir, "events"):
+        return _no_events(minute=pa.timestamp("us"), event_type=pa.string(),
+                          n=pa.int64())
     ds = table(sf_dir, "events", ["ts", "event_type"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -390,6 +402,9 @@ def events_per_minute(sf_dir: str):
     """,
 )
 def hourly_user_windows(sf_dir: str):
+    if not table_num_rows(sf_dir, "events"):
+        return _no_events(user_id=pa.int64(), window_start=pa.timestamp("us"),
+                          n=pa.int64(), total_value=pa.float64())
     ds = table(sf_dir, "events", ["user_id", "ts", "value"])
 
     def trunc(t: pa.Table) -> pa.Table:
@@ -409,27 +424,18 @@ def hourly_user_windows(sf_dir: str):
 
     # (user_id, hour) is near-unique at scale → bucket-sharded combine
     # instead of Dataset.aggregate's per-key Python reduce (common.py)
-    out = bucketed_group_agg(
+    def per_window(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.groupby(["user_id", "window_start"], as_index=False).agg(
+            n=("value_c", "size"), total_value=("value_c", "sum")
+        )
+        g["total_value"] = g["total_value"].astype("float64") / 100.0
+        return g
+
+    return bucketed_group_agg(
         ds.map_batches(trunc, batch_format="pyarrow"),
         ["user_id", "window_start"],
-        lambda g: g.groupby(["user_id", "window_start"], as_index=False).agg(
-            n=("value_c", "size"), value_c=("value_c", "sum")
-        ),
+        per_window,
     )
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": t["user_id"],
-                "window_start": t["window_start"],
-                "n": t["n"],
-                "total_value": pc.divide(
-                    pc.cast(t["value_c"], pa.float64()), pa.scalar(100.0)
-                ),
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow")
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from ray.data.aggregate import Count
 
 from . import common
 from .common import md5_u64_le, round_half_away, table
-from .queries import register
+from .queries import _no_events, register
 
 
 # --------------------------------------------------------------------------
@@ -161,12 +161,16 @@ def hll_distinct_users(sf_dir: str):
         regs = _hll_sketch(t["user_id"].to_pylist())
         return pa.table({"regs": pa.array([regs.tobytes()], pa.large_binary())})
 
-    merged = np.zeros(HLL_M, dtype=np.uint8)
-    for row in ds.map_batches(sketch, batch_format="pyarrow").take_all():
-        merged = np.maximum(merged, np.frombuffer(row["regs"], dtype=np.uint8))
-    return pd.DataFrame(
-        [{"metric": "hll_distinct_user_ids", "estimate": float(round_half_away(hll_estimate(merged), 1))}]
-    )
+    def merge(t: pa.Table) -> pd.DataFrame:
+        merged = np.zeros(HLL_M, dtype=np.uint8)
+        for regs in t["regs"].to_pylist() if t.num_rows else ():
+            merged = np.maximum(merged, np.frombuffer(regs, dtype=np.uint8))
+        return pd.DataFrame(
+            [{"metric": "hll_distinct_user_ids", "estimate": float(round_half_away(hll_estimate(merged), 1))}]
+        )
+
+    return common.combine_small(
+        ds.map_batches(sketch, batch_format="pyarrow"), merge)
 
 
 # --------------------------------------------------------------------------
@@ -509,13 +513,16 @@ def kll_value_quantiles(sf_dir: str):
 def kll_quantiles_by_type(sf_dir: str):
     """PER-GROUP KLL quantiles over unrounded event values: one sketch
     per (event_type, block), serialized as (event_type, level, value)
-    rows, merged per type in one local combine. The per-group quantile
-    path for heavy-tailed groups where the rounded-histogram op's
-    distinct-value cardinality blows up (round-4 verdict item #6): state
-    is O(types · k·log(n/k)) at ANY input size, and the partials are
-    fixed-cardinality map-side folds — never a row-level shuffle.
-    tests/test_round5.py bounds per-group rank error vs the exact answer
-    and asserts merge-order independence."""
+    rows, merged per type keyed on event_type (``bucketed_group_agg``:
+    the type key is not bounded). The per-group quantile path for
+    heavy-tailed groups where the rounded-histogram op's distinct-value
+    cardinality blows up (round-4 verdict item #6): state is
+    O(types · k·log(n/k)) at ANY input size, and no raw event row
+    crosses an exchange. tests/test_round5.py bounds per-group rank error
+    vs the exact answer and asserts merge-order independence."""
+    if not common.table_num_rows(sf_dir, "events"):
+        return _no_events(event_type=pa.string(), quantile=pa.string(),
+                          value=pa.float64(), n=pa.int64())
     ds = table(sf_dir, "events", ["event_type", "value"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -550,30 +557,20 @@ def kll_quantiles_by_type(sf_dir: str):
             )
         return pa.concat_tables(parts)
 
-    def finish(t: pa.Table) -> pa.Table:
-        out_rows: list[tuple] = []
-        if t.num_rows:
-            df = t.to_pandas()
-            for et, g in df.groupby("event_type", sort=True):
-                sk = _KLL.from_rows(
-                    g["level"].to_numpy(np.int64),
-                    g["value"].to_numpy(np.float64),
-                )
-                for q in _KLL_QS:
-                    out_rows.append(
-                        (et, f"p{q * 100:g}", sk.quantile(q), sk.n)
-                    )
-        return pa.table(
-            {
-                "event_type": pa.array([r[0] for r in out_rows],
-                                       pa.string()),
-                "quantile": pa.array([r[1] for r in out_rows], pa.string()),
-                "value": pa.array([r[2] for r in out_rows], pa.float64()),
-                "n": pa.array([r[3] for r in out_rows], pa.int64()),
-            }
-        )
+    def per_type(g: pd.DataFrame) -> pd.DataFrame:
+        rows = []
+        for et, grp in g.groupby("event_type", sort=True):
+            sk = _KLL.from_rows(
+                grp["level"].to_numpy(np.int64),
+                grp["value"].to_numpy(np.float64),
+            )
+            rows += [(et, f"p{q * 100:g}", sk.quantile(q), sk.n)
+                     for q in _KLL_QS]
+        return pd.DataFrame(rows, columns=["event_type", "quantile", "value",
+                                           "n"])
 
-    from .common import combine_small
+    from .common import bucketed_group_agg
 
-    return combine_small(ds.map_batches(partial, batch_format="pyarrow"),
-                         finish)
+    return bucketed_group_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), ["event_type"],
+        per_type)

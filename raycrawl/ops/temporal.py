@@ -14,8 +14,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .common import bucketed_group_agg, combine_small, round_half_away, table
-from .queries import register
+from .common import (bucketed_group_agg, combine_small, round_half_away, table,
+                     table_num_rows)
+from .queries import _no_events, register
 
 
 # --------------------------------------------------------------------------
@@ -120,6 +121,9 @@ def asof_last_purchase(sf_dir: str):
     """,
 )
 def user_sessions_30m(sf_dir: str):
+    if not table_num_rows(sf_dir, "events"):
+        return _no_events(user_id=pa.int64(), n_sessions=pa.int64(),
+                          max_session_events=pa.int64())
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts"])
     gap_us = 30 * 60 * 1_000_000
 
@@ -623,6 +627,8 @@ def rolling_7d_distinct_users(sf_dir: str):
     import pyarrow.compute as pc
     import ray
 
+    if not table_num_rows(sf_dir, "events"):
+        return _no_events(day=pa.timestamp("us"), n_users=pa.int64())
     ds = table(sf_dir, "events", ["ts", "user_id"])
 
     # pass 1 (streaming, no exchange): the observed-day set — bounded by

@@ -275,7 +275,9 @@ def propagate_labels(
     # label table (a billion unlabeled voters over a thousand labels
     # keeps len(labels) tiny while the partial stream is huge)
     n_edges = edges.count()
-    for _ in range(iterations):
+    # no edge, no vote: the seeds are the labels (an empty edge stream
+    # also carries no columns for the vote stages to read)
+    for _ in range(iterations if n_edges else 0):
         if common.gate("label_propagation", "labels", len(labels),
                        _LP_BROADCAST_MAX_LABELS):
             ref = ray.put(dict(labels))

@@ -79,6 +79,39 @@ def test_combine_small_empty_stream(ray_session):
     assert out.column_names == ["k", "n"]
 
 
+def test_combine_small_fetches_no_partial_block_on_the_driver(ray_session,
+                                                              monkeypatch):
+    """The final runs in the combine task: the driver ``ray.get``s its
+    result, never a partial block."""
+    import pyarrow as pa
+    import ray.data
+
+    from raycrawl.ops import common
+
+    partials = ray.data.from_arrow(
+        [pa.table({"k": [i % 3], "n": [i]}) for i in range(6)]
+    ).materialize()
+    partial_refs = {ref for bundle in partials.iter_internal_ref_bundles()
+                    for ref in bundle.block_refs}
+    assert len(partial_refs) == 6
+    fetched = []
+    get = common.ray.get
+
+    def spy(refs, *args, **kwargs):
+        fetched.extend(refs if isinstance(refs, list) else [refs])
+        return get(refs, *args, **kwargs)
+
+    monkeypatch.setattr(common.ray, "get", spy)
+    out = common.combine_small(
+        partials,
+        lambda t: pa.TableGroupBy(t, "k").aggregate([("n", "sum")])
+        .sort_by("k"),
+    )
+    assert out.to_pydict() == {"k": [0, 1, 2], "n_sum": [3, 5, 7]}
+    assert fetched, "the result comes back through ray.get"
+    assert not partial_refs & set(fetched)
+
+
 def test_union_find_min_label():
     from raycrawl.ops.dedup import _components_min_label
 
@@ -179,8 +212,10 @@ ALSO_REACH_EXCHANGE = (
     "all_priority_customers", "brand_association_rules",
     "brand_type_supplier_counts", "caption_edit_distance_neardups",
     "cheapest_supplier_leaderboard", "churned_user_event_types",
-    "crawl_caption_novelty_by_epoch", "crawl_incremental_audit",
-    "crawl_inlink_top_pages", "cumulative_unique_users_daily",
+    "crawl_caption_novelty_by_epoch", "crawl_change_rate_by_host",
+    "crawl_host_fairness", "crawl_incremental_audit",
+    "crawl_inlink_top_pages", "crawl_quota_audit",
+    "cumulative_unique_users_daily",
     "customer_cohort_retention", "customer_order_count_distribution",
     "customer_rfm_segments", "doc_dedup_rate_by_source",
     "duplicate_span_removal_stats", "event_type_user_jaccard",
@@ -190,7 +225,8 @@ ALSO_REACH_EXCHANGE = (
     "image_dup_keep_best_caption", "image_exact_dedup_bytes",
     "image_phash_band_lsh_pairs", "image_phash_best_resolution",
     "image_train_batch_packing", "important_parts_revenue_share",
-    "incremental_novelty_dedup", "large_volume_customers",
+    "incremental_novelty_dedup", "kll_quantiles_by_type",
+    "large_volume_customers",
     "order_priority_exists_check", "pagerank_cosuppliers",
     "phash_pair_psnr_verify", "pmi_top_bigrams",
     "repeated_paragraph_dedup", "returned_item_report",

@@ -26,7 +26,8 @@ def _source_files():
 
 def _bypasses(pat):
     """``path:line`` of every line under ``raycrawl/`` but ``ops/common.py``
-    that matches ``pat``: the join and probe seam lives in common alone."""
+    that matches ``pat``: the join, probe and combine seams live in
+    common alone."""
     offenders = []
     for path in _source_files():
         rel = os.path.relpath(path, REPO)
@@ -69,6 +70,17 @@ def test_probes_go_through_lookup_sorted():
         r"np\.minimum\(pos|np\.clip\(np\.searchsorted"
         r"|\(len\([^()]*\)\s*>\s*0\)\s*&"))
     assert not offenders, f"clamp probes outside ops/common.py: {offenders}"
+
+
+def test_partial_blocks_merge_only_in_common():
+    """Every merge of partial blocks runs in ``common``'s one combine task
+    (``combine_small``, ``bucketed_group_agg``), so the driver holds refs
+    and metadata, never a partial row. Enforced by grep: no module under
+    ``raycrawl/`` but ``ops/common.py`` walks a Dataset's block refs
+    (``iter_internal_ref_bundles``, ``to_arrow_refs``)."""
+    offenders = _bypasses(re.compile(
+        r"\b(iter_internal_ref_bundles|to_arrow_refs)\b"))
+    assert not offenders, f"block-ref walks outside ops/common.py: {offenders}"
 
 
 def test_gates_decide_through_common_gate():

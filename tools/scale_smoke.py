@@ -22,7 +22,8 @@ Crossed gates at these sizes:
 Run:  python tools/scale_smoke.py [--dir /tmp/sf_big] [--num-cpus 32]
       (add --keep to skip regeneration when the dir already exists)
 Emits one JSON line with per-query wall seconds + the PATH_LOG, suitable
-for pasting into BENCH/BASELINE.md.
+for pasting into BENCH/BASELINE.md; each query's time and each check go
+to stderr as they finish, so a stopped run still shows what it proved.
 """
 
 from __future__ import annotations
@@ -190,7 +191,17 @@ def main() -> None:
     n_cust = table_num_rows(args.dir, "customer")
 
     results: dict[str, float] = {}
-    checks: dict[str, bool] = {}
+
+    class Checks(dict):
+        """Prints each check as its query returns, so a run stopped early
+        still shows every branch it reached."""
+
+        def __setitem__(self, name: str, ok: bool) -> None:
+            super().__setitem__(name, ok)
+            print(f"# check {name}: {'ok' if ok else 'FAILED'}",
+                  file=sys.stderr, flush=True)
+
+    checks = Checks()
     # bucketed_group_agg's branch, counted the way the tests' force_exchange
     # fixture counts it: a wrapper around its one decision, group_buckets
     # (1 bucket = one combine task, more = the bucketed Sort exchange)
@@ -238,7 +249,8 @@ def main() -> None:
         results[name] = round(time.perf_counter() - t0, 3)
         if calls:
             buckets[name] = list(calls)
-        print(f"# {name}: {results[name]}s, {len(out)} rows", file=sys.stderr)
+        print(f"# {name}: {results[name]}s, {len(out)} rows", file=sys.stderr,
+              flush=True)
         return out
 
     dd = run("exact_dedup_by_hash")
@@ -318,10 +330,6 @@ def main() -> None:
     # round-3 additions at 2.05M docs / 2.5M events
     ab = run("image_aspect_bucket_routing")
     checks["aspect_buckets_cover_corpus"] = int(ab["n"].sum()) == n_docs
-    px = run("image_channel_pixel_stats")  # decodes 2.05M synthetic images
-    checks["pixel_stats_plausible"] = (
-        len(px) == 3 and all(0 < m < 255 for m in px["mean"])
-    )
     nv = run("incremental_novelty_dedup")
     checks["novelty_consistent"] = int(nv["n_new"][0]) == int(
         nv["n_known"][0]
@@ -810,6 +818,13 @@ def main() -> None:
         rs = json.load(f)["resharded_from"]
     checks["reshard_phash_exact"] = rs["phash_ownership"] == "exact"
     checks["reshard_seen_exact"] = rs["seen_ownership"] == "exact"
+
+    # last: it decodes 2.05M synthetic images (over 8 min on 2 actors of
+    # a 4-vCPU host), so a run stopped early has every check above it
+    px = run("image_channel_pixel_stats")
+    checks["pixel_stats_plausible"] = (
+        len(px) == 3 and all(0 < m < 255 for m in px["mean"])
+    )
 
     line = {
         "metric": "scale_smoke_total",
