@@ -12,14 +12,17 @@ import ray.data
 
 
 def table(sf_dir: str, name: str, columns: list[str] | None = None,
-          blocks: int = 1) -> ray.data.Dataset:
+          blocks: int = 1, where=None) -> ray.data.Dataset:
     """Column-pruned parquet read (only requested columns leave storage),
     sized from the footers by ``read_blocks``. One block (the default) fuses
     the read into the first map stage: ONE task, where Ray's own split of a
-    small file (2 × CPUs blocks) turns fusion off (DESIGN §5)."""
+    small file (2 × CPUs blocks) turns fusion off (DESIGN §5). ``where``,
+    a pyarrow expression, keeps only the rows it selects, inside the read;
+    a read it empties may carry no columns."""
     n = read_blocks(table_num_rows(sf_dir, name), blocks)
+    kw = {} if where is None else {"filter": where}
     return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns,
-                                 override_num_blocks=n)
+                                 override_num_blocks=n, **kw)
 
 
 def read_blocks(rows: int, blocks: int) -> int | None:
@@ -43,12 +46,15 @@ def table_num_rows(sf_dir: str, name: str) -> int:
 # doc_embedding_label_mix's broadcasts. Combines do not read it.
 SMALL_COMBINE_ROWS = 2_000_000
 
-# Bound of the sorted-lookup broadcasts: a key-sorted table of at most
-# this many rows (orders, customers, or per-customer counts; 17-24 B a
-# row, so at most ~24 MB) is ray.put once and probed with searchsorted
-# in every task; past it the op hash-joins that side instead. The ~sf1.0
-# scale smoke's 1.5M customers and 15M orders cross it.
+# Bound of the sorted-lookup broadcasts (``attach``): a key-sorted side
+# of at most this many rows (orders, customers, or per-customer counts;
+# 17-24 B a row, so at most ~24 MB) is ray.put once and probed in every
+# task; past it the op hash-joins that side instead. The ~sf1.0 scale
+# smoke's 1.5M customers and 15M orders cross it.
 LOOKUP_BROADCAST_MAX = 1_000_000
+
+# The part side's bound: its lookup rows are narrow enough for a larger one.
+PART_BROADCAST_MAX = 4_000_000
 
 
 def combine_small(partials: ray.data.Dataset, combine_fn) -> pa.Table:
@@ -254,6 +260,78 @@ def join(left: ray.data.Dataset, right: ray.data.Dataset, how: str,
 
     return (left if lrows else right).map_batches(
         local, batch_format="pyarrow", batch_size=None)
+
+
+def attach(stream: ray.data.Dataset, side: tuple, key: str,
+           columns: list[str], on: str, how: str = "inner", *, op: str,
+           bound: int | None = None, where=None) -> ray.data.Dataset:
+    """THE lookup of a gated op: ``stream`` with the side's ``columns``
+    appended, matched on the stream column ``on`` == the side's UNIQUE key
+    ``key``. ``how`` is ``inner`` (rows whose key the side lacks go) or
+    ``left_outer`` (they stay, with nulls).
+
+    ``side`` is ``(name, source)``: the base table ``name`` in the table
+    directory ``source``, only the rows the pyarrow expression ``where``
+    keeps, sized by its footer rows; or a Dataset ``source`` of just
+    ``[key, *columns]``, run once and sized by its row count.
+    ``gate(op, name, rows, bound)`` picks the body; ``bound`` defaults to
+    ``PART_BROADCAST_MAX`` for part and ``LOOKUP_BROADCAST_MAX`` for the
+    rest. The small side is read on the driver (pyarrow, no Ray task),
+    sorted by key and ``ray.put`` once, and one pyarrow map over the stream
+    probes it with ``lookup_sorted``; the map fuses with the read before it
+    and the op's partial after it into one task. The partitioned side is
+    ``join`` of the stream with the side's Dataset. Both give the stream's
+    columns, then ``columns`` typed as the side stores them; row order is
+    not kept."""
+    import pyarrow.dataset as pads
+
+    name, source = side
+    cols = [key, *columns]
+    if isinstance(source, ray.data.Dataset):
+        source = source.materialize()
+        rows = source.count()  # from the block metadata
+    else:
+        path = f"{source}/{name}.parquet"
+        rows = table_num_rows(source, name)
+    if bound is None:
+        bound = PART_BROADCAST_MAX if name == "part" else LOOKUP_BROADCAST_MAX
+    if not gate(op, name, rows, bound):
+        if not isinstance(source, ray.data.Dataset):
+            source = table(source, name, cols, where=where).materialize()
+            if not source.count():  # an emptied read may carry no columns
+                schema = pads.dataset(path).schema
+                source = ray.data.from_arrow(pa.schema(
+                    [schema.field(c) for c in cols]).empty_table())
+        return join(stream, source, how, (on,), (key,))
+
+    if isinstance(source, ray.data.Dataset):
+        import pandas as pd
+
+        blocks = [ray.get(ref) for bundle in source.iter_internal_ref_bundles()
+                  for ref in bundle.block_refs]
+        blocks = [pa.Table.from_pandas(b, preserve_index=False)
+                  if isinstance(b, pd.DataFrame) else b for b in blocks]
+        side_t = pa.concat_tables([b.select(cols) for b in blocks
+                                   if b.num_columns])
+    else:
+        side_t = pads.dataset(path).to_table(columns=cols, filter=where)
+    ref = ray.put(side_t.sort_by(key).combine_chunks())
+    inner = how == "inner"
+
+    def probe(t: pa.Table) -> pa.Table:
+        s = ray.get(ref)
+        keys = s[key].to_numpy()
+        found, pos = lookup_sorted(keys, t[on].to_numpy(zero_copy_only=False),
+                                   np.arange(len(keys)))
+        if inner:
+            t, idx = t.filter(pa.array(found)), pa.array(pos[found])
+        else:
+            idx = pa.array(pos, mask=~found)
+        for c in columns:
+            t = t.append_column(c, s[c].take(idx))
+        return t
+
+    return stream.map_batches(probe, batch_format="pyarrow")
 
 
 # Target rows per bucket for bucketed_group_agg: small enough that one

@@ -23,9 +23,8 @@ import pyarrow.compute as pc
 import ray
 
 from . import common
-from .common import (LOOKUP_BROADCAST_MAX, SMALL_COMBINE_ROWS,
-                     bucketed_group_agg, lookup_sorted, md5_u64_le,
-                     round_half_away, table, table_num_rows)
+from .common import (SMALL_COMBINE_ROWS, bucketed_group_agg, md5_u64_le,
+                     round_half_away, table)
 from .queries import register
 
 # --------------------------------------------------------------------------
@@ -294,46 +293,12 @@ def customer_urgent_order_stats(sf_dir: str):
     )
     cust = table(sf_dir, "customer", ["c_custkey", "c_name"])
 
-    # adaptive join (label_propagation's pattern): while the per-key count
-    # table fits a broadcast object, a plasma-shared dict lookup per batch
-    # beats the join operator's aggregator spin-up; past the threshold the
-    # hash-partitioned LEFT OUTER Dataset.join takes over (path equivalence
-    # is pytest-checked)
-    counts = counts.materialize()
-    if common.gate("customer_urgent_order_stats", "urgent_counts",
-                   counts.count(), LOOKUP_BROADCAST_MAX):
-        # (to_pandas drops the columns of an all-empty dataset)
-        cdf = counts.to_pandas().reindex(
-            columns=["o_custkey", "n", "spend_c"]).sort_values("o_custkey")
-        # broadcast three SORTED numpy arrays (zero-copy out of plasma on
-        # every ray.get, unlike a pickled dict) and look up per batch with
-        # one searchsorted — ~24 B/row for real this time
-        ref = ray.put(
-            (
-                cdf["o_custkey"].to_numpy(np.int64),
-                cdf["n"].to_numpy(np.int64),
-                cdf["spend_c"].to_numpy(np.int64),
-            )
-        )
-
-        def lookup(t: pa.Table, *, ref) -> pa.Table:
-            keys_s, n_s, sp_s = ray.get(ref)
-            keys = t["c_custkey"].to_numpy(zero_copy_only=False)
-            _, ns, sp = lookup_sorted(keys_s, keys, n_s, sp_s)
-            return pa.table(
-                {
-                    "c_custkey": t["c_custkey"],
-                    "c_name": t["c_name"],
-                    "n_urgent": pa.array(ns, pa.int64()),
-                    "urgent_spend": pa.array(sp / 100.0, pa.float64()),
-                }
-            )
-
-        return cust.map_batches(lookup, fn_kwargs={"ref": ref},
-                                batch_format="pyarrow")
-
-    joined = common.join(cust, counts, "left_outer", ("c_custkey",),
-                         ("o_custkey",))
+    # sized on its observed row count; customers without an urgent order
+    # get nulls, filled below
+    joined = common.attach(
+        cust, ("urgent_counts", counts), "o_custkey", ["n", "spend_c"],
+        "c_custkey", "left_outer", op="customer_urgent_order_stats",
+    )
 
     def finish(t: pa.Table) -> pa.Table:
         n = pc.fill_null(pc.cast(t["n"], pa.int64()), 0)
@@ -828,64 +793,26 @@ def temperature_mix_targets(sf_dir: str):
 def doc_embedding_label_mix(sf_dir: str):
     docs = table(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
 
-    if common.gate("doc_embedding_label_mix", "embeddings",
-                   table_num_rows(sf_dir, "embeddings"), SMALL_COMBINE_ROWS):
-        import pyarrow.dataset as pads
+    joined = common.attach(
+        docs, ("embeddings", sf_dir), "vec_id", ["label"], "doc_id",
+        op="doc_embedding_label_mix", bound=SMALL_COMBINE_ROWS,
+    )
 
-        emb = (
-            pads.dataset(f"{sf_dir}/embeddings.parquet")
-            .to_table(columns=["vec_id", "label"])
-            .to_pandas()
-            .sort_values("vec_id")
+    def partial(t: pa.Table) -> pa.Table:
+        tmp = pa.table(
+            {
+                "lang": t["lang"],
+                "label": pc.cast(t["label"], pa.int64()),
+                "n_chars": t["n_chars"],
+            }
         )
-        ref = ray.put(
-            (
-                emb["vec_id"].to_numpy(np.int64),
-                emb["label"].to_numpy(np.int64),
-            )
+        return (
+            pa.TableGroupBy(tmp, ["lang", "label"])
+            .aggregate([([], "count_all"), ("n_chars", "sum")])
+            .rename_columns(["lang", "label", "n", "chars_sum"])
         )
 
-        def partial(t: pa.Table, *, ref) -> pa.Table:
-            vid, lab = ray.get(ref)
-            ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            hit, label = lookup_sorted(vid, ids, lab)
-            tmp = pa.table(
-                {
-                    "lang": t["lang"].filter(pa.array(hit)),
-                    "label": pa.array(label[hit], pa.int64()),
-                    "n_chars": t["n_chars"].filter(pa.array(hit)),
-                }
-            )
-            return (
-                pa.TableGroupBy(tmp, ["lang", "label"])
-                .aggregate([([], "count_all"), ("n_chars", "sum")])
-                .rename_columns(["lang", "label", "n", "chars_sum"])
-            )
-
-        joined_partials = docs.map_batches(
-            partial, fn_kwargs={"ref": ref}, batch_format="pyarrow"
-        )
-    else:  # embeddings table too big to broadcast
-        emb_ds = table(sf_dir, "embeddings", ["vec_id", "label"])
-        joined = common.join(docs, emb_ds, "inner", ("doc_id",), ("vec_id",))
-
-        def partial_joined(t: pa.Table) -> pa.Table:
-            tmp = pa.table(
-                {
-                    "lang": t["lang"],
-                    "label": pc.cast(t["label"], pa.int64()),
-                    "n_chars": t["n_chars"],
-                }
-            )
-            return (
-                pa.TableGroupBy(tmp, ["lang", "label"])
-                .aggregate([([], "count_all"), ("n_chars", "sum")])
-                .rename_columns(["lang", "label", "n", "chars_sum"])
-            )
-
-        joined_partials = joined.map_batches(
-            partial_joined, batch_format="pyarrow"
-        )
+    joined_partials = joined.map_batches(partial, batch_format="pyarrow")
 
     def finish(t: pa.Table) -> pa.Table:
         from .common import combine_small, round_half_away  # noqa: F401

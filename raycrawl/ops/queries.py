@@ -567,6 +567,10 @@ def customers_without_urgent_orders(sf_dir: str):
     """,
 )
 def user_event_profile(sf_dir: str):
+    if not table_num_rows(sf_dir, "events"):
+        return _no_events(user_id=pa.int64(), n_events=pa.int64(),
+                          first_ts=pa.timestamp("us"),
+                          total_value=pa.float64(), n_types=pa.int64())
     ds = table(sf_dir, "events", ["user_id", "ts", "value", "event_type"])
 
     # partition by user bucket, aggregate every user of the bucket in ONE
@@ -894,10 +898,8 @@ def customers_with_returns_by_nation(sf_dir: str):
 # integer cents (exact — immune to summation-order float jitter), the
 # per-block partial collapses the stream to ≤25 nation rows, and the
 # rollup fold over those 25 rows happens on the driver. The orders→nation
-# mapping broadcasts customer's (custkey, nationkey) as sorted numpy
-# arrays below ROLLUP_BROADCAST_MAX (12 B/row); past it, the
-# hash-partitioned Dataset.join takes over (same adaptive pattern as
-# customer_urgent_order_stats, path-equivalence tested).
+# mapping attaches customer's nationkey (common.attach), which broadcasts
+# below ROLLUP_BROADCAST_MAX (12 B/row) and hash-joins past it.
 
 ROLLUP_BROADCAST_MAX = 50_000_000  # (custkey,nationkey) rows ≈ 12 B each
 
@@ -922,17 +924,16 @@ def rollup_revenue(sf_dir: str):
 
     orders = table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-    def cents_col(t: pa.Table) -> pa.Array:
-        return pc.cast(
+    def partial(t: pa.Table) -> pa.Table:
+        """Collapse one block to ≤ n_nations rows of exact partial sums."""
+        nk = t["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        cents = pc.cast(
             pc.round(
                 pc.multiply(t["o_totalprice"], pa.scalar(100.0)),
                 round_mode="half_towards_infinity",
             ),
             pa.int64(),
-        )
-
-    def nation_partial(nk: "np.ndarray", cents: "np.ndarray") -> pa.Table:
-        """Collapse one block to ≤ n_nations rows of exact partial sums."""
+        ).to_numpy(zero_copy_only=False)
         order = np.argsort(nk, kind="stable")
         nk_s, c_s = nk[order], cents[order]
         cuts = np.flatnonzero(np.diff(nk_s)) + 1
@@ -947,44 +948,10 @@ def rollup_revenue(sf_dir: str):
             }
         )
 
-    if common.gate("rollup_revenue", "customer",
-                   table_num_rows(sf_dir, "customer"), ROLLUP_BROADCAST_MAX):
-        import pyarrow.dataset as pads
-
-        cust = (
-            pads.dataset(f"{sf_dir}/customer.parquet")
-            .to_table(columns=["c_custkey", "c_nationkey"])
-            .to_pandas()
-            .sort_values("c_custkey")
-        )
-        ref = ray.put(
-            (
-                cust["c_custkey"].to_numpy(np.int64),
-                cust["c_nationkey"].to_numpy(np.int64),
-            )
-        )
-
-        def partial(t: pa.Table, *, ref) -> pa.Table:
-            keys_s, nat_s = ray.get(ref)
-            keys = t["o_custkey"].to_numpy(zero_copy_only=False)
-            nk = nat_s[np.searchsorted(keys_s, keys)]  # FK: always present
-            cents = cents_col(t).to_numpy(zero_copy_only=False)
-            return nation_partial(nk, cents)
-
-        partials = orders.map_batches(
-            partial, fn_kwargs={"ref": ref}, batch_format="pyarrow"
-        )
-    else:  # customer too big to broadcast: hash-partitioned join
-        cust_ds = table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        joined = common.join(orders, cust_ds, "inner", ("o_custkey",),
-                             ("c_custkey",))
-
-        def partial_joined(t: pa.Table) -> pa.Table:
-            nk = t["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            cents = cents_col(t).to_numpy(zero_copy_only=False)
-            return nation_partial(nk, cents)
-
-        partials = joined.map_batches(partial_joined, batch_format="pyarrow")
+    partials = common.attach(
+        orders, ("customer", sf_dir), "c_custkey", ["c_nationkey"],
+        "o_custkey", op="rollup_revenue", bound=ROLLUP_BROADCAST_MAX,
+    ).map_batches(partial, batch_format="pyarrow")
 
     # dimension names: tiny driver-side reads (launching a pipeline for
     # 25 + 5 rows costs more than the read)
@@ -1135,35 +1102,13 @@ def local_supplier_revenue(sf_dir: str):
     )
 
     # the ONLY thing lineitem needs from orders is orderkey→custkey (16
-    # B/row). Under the gate that broadcasts as two sorted arrays and the
-    # whole query becomes one streamed pass with zero shuffles (measured
-    # 8.7-24.5 s through Dataset.join at sf0.1 vs ~1-2 s broadcast); past
-    # the gate the hash-partitioned join takes over (path-equivalence
-    # tested).
-    if common.gate("local_supplier_revenue", "orders",
-                   table_num_rows(sf_dir, "orders"), SMALL_COMBINE_ROWS):
-        omap = (
-            pads.dataset(f"{sf_dir}/orders.parquet")
-            .to_table(columns=["o_orderkey", "o_custkey"])
-            .to_pandas()
-            .sort_values("o_orderkey")
-        )
-        joined = li.map_batches(
-            _attach_custkey,
-            fn_kwargs={
-                "ref": ray.put(
-                    (
-                        omap["o_orderkey"].to_numpy(np.int64),
-                        omap["o_custkey"].to_numpy(np.int64),
-                    )
-                )
-            },
-            batch_format="pyarrow",
-        )
-    else:
-        orders = table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-        joined = common.join(li, orders, "inner", ("l_orderkey",),
-                             ("o_orderkey",))
+    # B/row). Under the gate that broadcasts and the whole query becomes
+    # one streamed pass with zero shuffles (measured 8.7-24.5 s through
+    # Dataset.join at sf0.1 vs ~1-2 s broadcast).
+    joined = common.attach(
+        li, ("orders", sf_dir), "o_orderkey", ["o_custkey"], "l_orderkey",
+        op="local_supplier_revenue", bound=SMALL_COMBINE_ROWS,
+    )
 
     cust = (
         pads.dataset(f"{sf_dir}/customer.parquet")
@@ -1295,18 +1240,6 @@ def all_priority_customers(sf_dir: str):
 
     return bucketed_group_agg(
         ds.map_batches(partial, batch_format="pyarrow"), ["custkey"], finish
-    )
-
-
-def _attach_custkey(t: pa.Table, *, ref) -> pa.Table:
-    """Broadcast orderkey→custkey lookup for local_supplier_revenue's
-    under-the-gate path (one searchsorted per batch; FK always present)."""
-    import numpy as np
-
-    ok, ck = ray.get(ref)
-    keys = t["l_orderkey"].to_numpy(zero_copy_only=False)
-    return t.append_column(
-        "o_custkey", pa.array(ck[np.searchsorted(ok, keys)], pa.int64())
     )
 
 

@@ -24,12 +24,10 @@ import ray.data
 
 from . import common
 from .common import (
-    LOOKUP_BROADCAST_MAX,
     bucketed_group_agg,
     combine_small,
     round_half_away,
     table,
-    table_num_rows,
 )
 from .queries import register
 
@@ -234,11 +232,10 @@ def cheapest_supplier_leaderboard(sf_dir: str):
 # --------------------------------------------------------------------------
 # Big-big conditional join matrix (TPC-H Q12 shape): per order priority,
 # how many lineitems shipped LATE (> 60 days after the order date) vs total.
-# Two fact tables meet on orderkey: below LOOKUP_BROADCAST_MAX the orders
-# side broadcasts ONCE (ray.put of three parallel arrays, searchsorted
-# lookup per block — orderkeys are a sorted PK); above it, a hash join
-# through common.join. Both paths collapse to a ≤5-row
-# matrix via fixed-cardinality partials, so nothing wide leaves the join.
+# Two fact tables meet on orderkey through common.attach (the orders side
+# broadcasts below its gate, hash-joins above it); each block collapses
+# to a ≤5-row matrix via fixed-cardinality partials, so nothing wide
+# leaves the join.
 
 
 @register(
@@ -256,79 +253,33 @@ def late_shipment_priority_matrix(sf_dir: str):
     li = table(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
     sixty_days_us = 60 * 86_400 * 1_000_000
 
-    def matrix(prio_codes: np.ndarray, late: np.ndarray,
-               prios: np.ndarray) -> pa.Table:
-        n_lines = np.bincount(prio_codes, minlength=len(prios))
-        n_late = np.bincount(
-            prio_codes[late], minlength=len(prios)
+    joined = common.attach(
+        li, ("orders", sf_dir), "o_orderkey",
+        ["o_orderdate", "o_orderpriority"], "l_orderkey",
+        op="late_shipment_priority_matrix",
+    )
+
+    def partial(t: pa.Table) -> pa.Table:
+        prios, codes = np.unique(
+            t["o_orderpriority"].to_numpy(zero_copy_only=False),
+            return_inverse=True,
         )
+        ship_us, date_us = (
+            t[c].to_numpy(zero_copy_only=False)
+            .astype("datetime64[us]").astype(np.int64)
+            for c in ("l_shipdate", "o_orderdate")
+        )
+        late = ship_us > date_us + sixty_days_us
         return pa.table(
             {
                 "o_orderpriority": pa.array(prios),
-                "n_late": pa.array(n_late.astype(np.int64), pa.int64()),
-                "n_lines": pa.array(n_lines.astype(np.int64), pa.int64()),
+                "n_late": pa.array(np.bincount(codes[late],
+                                               minlength=len(prios))),
+                "n_lines": pa.array(np.bincount(codes, minlength=len(prios))),
             }
         )
 
-    if common.gate("late_shipment_priority_matrix", "orders",
-                   table_num_rows(sf_dir, "orders"), LOOKUP_BROADCAST_MAX):
-        import pyarrow.dataset as pads
-
-        od = (
-            pads.dataset(f"{sf_dir}/orders.parquet")
-            .to_table(columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-            .to_pandas()
-            .sort_values("o_orderkey")
-        )
-        prios = np.sort(od["o_orderpriority"].unique())
-        code = {p: i for i, p in enumerate(prios)}
-        ref = ray.put(
-            (
-                od["o_orderkey"].to_numpy(np.int64),
-                od["o_orderdate"].to_numpy("datetime64[us]").astype(np.int64),
-                od["o_orderpriority"].map(code).to_numpy(np.int8),
-            )
-        )
-
-        def partial(t: pa.Table, *, ref) -> pa.Table:
-            keys, date_us, pcode = ray.get(ref)
-            lk = t["l_orderkey"].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(keys, lk)  # FK into orders: always present
-            ship_us = (
-                t["l_shipdate"].to_numpy(zero_copy_only=False)
-                .astype("datetime64[us]").astype(np.int64)
-            )
-            late = ship_us > date_us[idx] + sixty_days_us
-            return matrix(pcode[idx].astype(np.int64), late, prios)
-
-        partials = li.map_batches(
-            partial, fn_kwargs={"ref": ref}, batch_format="pyarrow"
-        )
-    else:
-        joined = common.join(
-            li, table(sf_dir, "orders",
-                      ["o_orderkey", "o_orderdate", "o_orderpriority"]),
-            "inner", ("l_orderkey",), ("o_orderkey",),
-        )
-
-        def partial_joined(t: pa.Table) -> pa.Table:
-            prios = np.sort(np.unique(
-                t["o_orderpriority"].to_numpy(zero_copy_only=False)
-            ))
-            codes = np.searchsorted(
-                prios, t["o_orderpriority"].to_numpy(zero_copy_only=False)
-            )
-            ship_us = (
-                t["l_shipdate"].to_numpy(zero_copy_only=False)
-                .astype("datetime64[us]").astype(np.int64)
-            )
-            date_us = (
-                t["o_orderdate"].to_numpy(zero_copy_only=False)
-                .astype("datetime64[us]").astype(np.int64)
-            )
-            return matrix(codes, ship_us > date_us + sixty_days_us, prios)
-
-        partials = joined.map_batches(partial_joined, batch_format="pyarrow")
+    partials = joined.map_batches(partial, batch_format="pyarrow")
 
     def final(t: pa.Table) -> pa.Table:
         g = (

@@ -28,7 +28,6 @@ import ray.data
 
 from . import common
 from .common import (
-    LOOKUP_BROADCAST_MAX,
     bucketed_group_agg,
     combine_small,
     isin_sorted,
@@ -54,15 +53,6 @@ def _cents(arr) -> pa.Array:
 
 def _ts_us(t: pa.Table, col: str) -> np.ndarray:
     return pc.cast(t[col], pa.int64()).to_numpy(zero_copy_only=False)
-
-
-# Broadcast gates: sorted-int64-key lookup tables ship once via ray.put and
-# are probed with searchsorted inside every task. Above the gate the side
-# is genuinely large and the op switches to a partitioned hash join
-# (path-equivalence covered by tests/test_round3i.py). The orders and
-# customer sides share common.LOOKUP_BROADCAST_MAX; the part side's
-# lookup rows are small enough for a larger bound.
-PART_BROADCAST_MAX = 4_000_000
 
 
 # --------------------------------------------------------------------------
@@ -105,7 +95,7 @@ def shipping_priority_topk(sf_dir: str):
     op = "shipping_priority_topk"
     ord_ref = ord_f = None
     if common.gate(op, "customer", table_num_rows(sf_dir, "customer"),
-                   LOOKUP_BROADCAST_MAX):
+                   common.LOOKUP_BROADCAST_MAX):
         import pyarrow.dataset as pads
 
         segk = np.sort(
@@ -118,7 +108,7 @@ def shipping_priority_topk(sf_dir: str):
             .astype(np.int64)
         )
         if common.gate(op, "orders", table_num_rows(sf_dir, "orders"),
-                       LOOKUP_BROADCAST_MAX):
+                       common.LOOKUP_BROADCAST_MAX):
             # both dimensions fit: the qualifying orders (segment ∩ early)
             # broadcast as sorted arrays, lineitem semi-prunes against
             # them BEFORE its exchange, and the hash join disappears
@@ -243,8 +233,6 @@ def shipping_priority_topk(sf_dir: str):
         joined = common.join(rev, ord_f, "inner", ("o_orderkey",))
 
     def topk(t: pa.Table) -> pa.Table:
-        if isinstance(t, pd.DataFrame):  # empty pandas block leak-through
-            t = pa.Table.from_pandas(t, preserve_index=False)
         if not t.num_rows:  # may be a schema-less empty block
             return pa.table({
                 "o_orderkey": pa.array([], pa.int64()),
@@ -280,9 +268,9 @@ def shipping_priority_topk(sf_dir: str):
 # priority had at least one line shipping > 30 days after the order date.
 # EXISTS(l_shipdate > o_orderdate + 30d) ⇔ max(l_shipdate) per order >
 # o_orderdate + 30d, so the unbounded side collapses to ONE row per order
-# through the bucketed exchange before it ever meets orders; the orders
-# side broadcasts (sorted key → date+priority-code arrays) under the gate
-# and hash-joins above it. Final aggregate is fixed-cardinality (5 rows).
+# through the bucketed exchange before it ever meets orders, which it
+# attaches through common.attach. Final aggregate is fixed-cardinality
+# (5 rows).
 _Q4_SQL = """
 WITH ms AS (
   SELECT l_orderkey, max(l_shipdate) AS max_ship FROM lineitem GROUP BY 1
@@ -320,8 +308,21 @@ def order_priority_exists_check(sf_dir: str):
         per_order,
     )
 
-    def count_late(prio: np.ndarray, late: np.ndarray,
-                   names: np.ndarray) -> pa.Table:
+    joined = common.attach(
+        max_ship, ("orders", sf_dir), "o_orderkey",
+        ["o_orderdate", "o_orderpriority"], "o_orderkey",
+        op="order_priority_exists_check",
+    )
+
+    def partial(t: pa.Table) -> pa.Table:
+        names, prio = np.unique(
+            t["o_orderpriority"].to_numpy(zero_copy_only=False),
+            return_inverse=True,
+        )
+        late = (
+            t["ship_us"].to_numpy(zero_copy_only=False)
+            > _ts_us(t, "o_orderdate") + 30 * _US
+        )
         n = np.bincount(prio[late], minlength=len(names))
         keep = n > 0
         return pa.table(
@@ -331,64 +332,7 @@ def order_priority_exists_check(sf_dir: str):
             }
         )
 
-    if common.gate("order_priority_exists_check", "orders",
-                   table_num_rows(sf_dir, "orders"), LOOKUP_BROADCAST_MAX):
-        import pyarrow.dataset as pads
-
-        od = (
-            pads.dataset(f"{sf_dir}/orders.parquet")
-            .to_table(columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-            .to_pandas()
-            .sort_values("o_orderkey")
-        )
-        names = np.sort(od["o_orderpriority"].unique())
-        code = {p: i for i, p in enumerate(names)}
-        ref = ray.put(
-            (
-                od["o_orderkey"].to_numpy(np.int64),
-                od["o_orderdate"].astype("int64").to_numpy() + 30 * _US,
-                od["o_orderpriority"].map(code).to_numpy(np.int64),
-            )
-        )
-
-        def partial(t: pa.Table) -> pa.Table:
-            keys, deadline, prio = ray.get(ref)
-            ok = t["o_orderkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(keys, ok)
-            # every lineitem order exists in orders (FK) — direct index
-            late = t["ship_us"].to_numpy(zero_copy_only=False) > deadline[pos]
-            return count_late(prio[pos], late, names)
-
-        partials = max_ship.map_batches(partial, batch_format="pyarrow")
-
-        def final(t: pa.Table) -> pa.Table:
-            return (
-                pa.TableGroupBy(t, ["o_orderpriority"])
-                .aggregate([("n_late_orders", "sum")])
-                .rename_columns(["o_orderpriority", "n_late_orders"])
-            )
-
-        return combine_small(partials, final)
-
-    orders = table(
-        sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]
-    )
-    joined = common.join(max_ship, orders, "inner", ("o_orderkey",))
-
-    def partial_j(t: pa.Table) -> pa.Table:
-        if isinstance(t, pd.DataFrame):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        names, prio = np.unique(
-            t["o_orderpriority"].to_numpy(zero_copy_only=False),
-            return_inverse=True,
-        )
-        late = (
-            t["ship_us"].to_numpy(zero_copy_only=False)
-            > _ts_us(t, "o_orderdate") + 30 * _US
-        )
-        return count_late(prio, late, names)
-
-    def final_j(t: pa.Table) -> pa.Table:
+    def final(t: pa.Table) -> pa.Table:
         return (
             pa.TableGroupBy(t, ["o_orderpriority"])
             .aggregate([("n_late_orders", "sum")])
@@ -396,17 +340,17 @@ def order_priority_exists_check(sf_dir: str):
         )
 
     return combine_small(
-        joined.map_batches(partial_j, batch_format="pyarrow"), final_j
+        joined.map_batches(partial, batch_format="pyarrow"), final
     )
 
 
 # --------------------------------------------------------------------------
 # TPC-H Q10 shape — returned-item reporting: the 20 customers who lost the
 # most revenue to returns in a 6-month order window. Returned lineitems
-# pre-aggregate per order (bucketed), hash-join the window-filtered orders
-# for their custkey, re-aggregate per customer (bucketed), take the top-20
-# via per-block partials — and only THEN do the 20 surviving keys touch the
-# customer/nation dimensions, as a driver-side lookup of 20 rows.
+# attach the window-filtered orders' custkey (common.attach), aggregate
+# per customer (bucketed), take the top-20 via per-block partials — and
+# only THEN do the 20 surviving keys touch the customer/nation
+# dimensions, as a driver-side lookup of 20 rows.
 _Q10_LO = "1997-01-01"
 _Q10_HI = "1997-07-01"
 
@@ -428,15 +372,12 @@ LIMIT 20
 
 @register("returned_item_report", sql=_Q10_SQL)
 def returned_item_report(sf_dir: str):
-    lo_us = int(pd.Timestamp(_Q10_LO).value // 1_000)
-    hi_us = int(pd.Timestamp(_Q10_HI).value // 1_000)
-
     li = table(
         sf_dir, "lineitem",
         ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
     )
 
-    def rev_cents(t: pa.Table) -> tuple[pa.Table, pa.Array]:
+    def returned_cents(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["l_returnflag"], "R"))
         rev = _cents(
             pc.multiply(
@@ -444,91 +385,24 @@ def returned_item_report(sf_dir: str):
                 pc.subtract(pa.scalar(1.0), t["l_discount"]),
             )
         )
-        return t, rev
+        return pa.table({"l_orderkey": t["l_orderkey"], "cents": rev})
 
-    if common.gate("returned_item_report", "orders",
-                   table_num_rows(sf_dir, "orders"), LOOKUP_BROADCAST_MAX):
-        # orders fit a broadcast: the R-lines map straight onto their
-        # window custkey and the whole query is ONE bucketed exchange
-        # (9.1 → ~3 s at sf0.1) instead of per-order agg + hash join +
-        # per-customer agg
-        import pyarrow.dataset as pads
-
-        od = (
-            pads.dataset(f"{sf_dir}/orders.parquet")
-            .to_table(
-                columns=["o_orderkey", "o_custkey"],
-                filter=(pc.field("o_orderdate")
-                        >= pd.Timestamp(_Q10_LO).to_pydatetime())
-                & (pc.field("o_orderdate")
-                   < pd.Timestamp(_Q10_HI).to_pydatetime()),
-            )
-            .to_pandas()
-            .sort_values("o_orderkey")
-        )
-        ref = ray.put(
-            (od["o_orderkey"].to_numpy(np.int64),
-             od["o_custkey"].to_numpy(np.int64))
-        )
-
-        def cust_cents(t: pa.Table) -> pa.Table:
-            keys, cust = ray.get(ref)
-            t, rev = rev_cents(t)
-            ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
-            hit, ck = lookup_sorted(keys, ok, cust)
-            m = pa.table(
-                {
-                    "o_custkey": pa.array(ck[hit], pa.int64()),
-                    "cents": rev.filter(pa.array(hit)),
-                }
-            )
-            return (
-                pa.TableGroupBy(m, ["o_custkey"])
-                .aggregate([("cents", "sum")])
-                .rename_columns(["o_custkey", "cents"])
-            )
-
-        joined = li.map_batches(cust_cents, batch_format="pyarrow")
-    else:
-
-        def returned_cents(t: pa.Table) -> pa.Table:
-            t, rev = rev_cents(t)
-            m = pa.table({"o_orderkey": t["l_orderkey"], "cents": rev})
-            return (
-                pa.TableGroupBy(m, ["o_orderkey"])
-                .aggregate([("cents", "sum")])
-                .rename_columns(["o_orderkey", "cents"])
-            )
-
-        def per_order(g: pd.DataFrame) -> pd.DataFrame:
-            return g.groupby("o_orderkey", as_index=False)["cents"].sum()
-
-        rev_per_order = bucketed_group_agg(
-            li.map_batches(returned_cents, batch_format="pyarrow"),
-            ["o_orderkey"],
-            per_order,
-        )
-
-        orders = table(
-            sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-        )
-
-        def window(t: pa.Table) -> pa.Table:
-            us = _ts_us(t, "o_orderdate")
-            return t.filter(
-                pa.array((us >= lo_us) & (us < hi_us))
-            ).drop_columns(["o_orderdate"])
-
-        ord_f = orders.map_batches(window, batch_format="pyarrow")
-
-        joined = common.join(rev_per_order, ord_f, "inner", ("o_orderkey",))
+    # the R-lines map straight onto their window order's custkey, so the
+    # whole query is ONE bucketed exchange (9.1 → ~3 s at sf0.1) instead
+    # of per-order agg + join + per-customer agg
+    window = (
+        (pc.field("o_orderdate") >= pd.Timestamp(_Q10_LO).to_pydatetime())
+        & (pc.field("o_orderdate") < pd.Timestamp(_Q10_HI).to_pydatetime())
+    )
+    joined = common.attach(
+        li.map_batches(returned_cents, batch_format="pyarrow"),
+        ("orders", sf_dir), "o_orderkey", ["o_custkey"], "l_orderkey",
+        op="returned_item_report", where=window,
+    )
 
     def per_cust_partial(t: pa.Table) -> pa.Table:
-        if isinstance(t, pd.DataFrame):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        m = t.select(["o_custkey", "cents"])
         return (
-            pa.TableGroupBy(m, ["o_custkey"])
+            pa.TableGroupBy(t.select(["o_custkey", "cents"]), ["o_custkey"])
             .aggregate([("cents", "sum")])
             .rename_columns(["o_custkey", "cents"])
         )
@@ -542,9 +416,7 @@ def returned_item_report(sf_dir: str):
         per_cust,
     )
 
-    def topk(t) -> pa.Table:
-        if isinstance(t, pd.DataFrame):
-            t = pa.Table.from_pandas(t, preserve_index=False)
+    def topk(t: pa.Table) -> pa.Table:
         if not t.num_rows:  # an all-empty stream arrives without columns
             return pa.table({"o_custkey": pa.array([], pa.int64()),
                              "cents": pa.array([], pa.int64())})
@@ -595,10 +467,8 @@ def returned_item_report(sf_dir: str):
 # --------------------------------------------------------------------------
 # TPC-H Q19 shape — disjunctive predicate revenue over a broadcast-join:
 # three (brand, size-range, quantity-range) arms OR'ed together. The part
-# side prunes to the three brands BEFORE it ships (sorted partkey → brand
-# arm + size arrays); lineitem streams once, probes with searchsorted, and
-# emits one partial revenue row per block. Above the gate the pruned part
-# side hash-joins instead (same arms evaluated post-join).
+# side prunes to the three brands BEFORE it meets lineitem (common.attach);
+# lineitem streams once and emits one partial revenue row per block.
 _Q19_ARMS = (  # (brand, size_lo, size_hi, qty_lo, qty_hi)
     ("Brand#12", 1, 5, 1, 11),
     ("Brand#23", 1, 10, 10, 20),
@@ -642,7 +512,18 @@ def disjunctive_part_revenue(sf_dir: str):
     )
     brands = [a[0] for a in _Q19_ARMS]
 
-    def block_rev(keep: np.ndarray, t: pa.Table) -> pa.Table:
+    joined = common.attach(
+        li, ("part", sf_dir), "p_partkey", ["p_brand", "p_size"], "l_partkey",
+        op="disjunctive_part_revenue", where=pc.field("p_brand").isin(brands),
+    )
+
+    def partial(t: pa.Table) -> pa.Table:
+        arm = pc.index_in(t["p_brand"], value_set=pa.array(brands))
+        keep = _q19_mask(
+            arm.to_numpy(zero_copy_only=False),
+            t["p_size"].to_numpy(zero_copy_only=False).astype(np.int64),
+            t["l_quantity"].to_numpy(zero_copy_only=False),
+        )
         rev = _cents(
             pc.multiply(
                 t["l_extendedprice"],
@@ -656,56 +537,7 @@ def disjunctive_part_revenue(sf_dir: str):
             }
         )
 
-    if common.gate("disjunctive_part_revenue", "part",
-                   table_num_rows(sf_dir, "part"), PART_BROADCAST_MAX):
-        import pyarrow.dataset as pads
-
-        pt = (
-            pads.dataset(f"{sf_dir}/part.parquet")
-            .to_table(
-                columns=["p_partkey", "p_brand", "p_size"],
-                filter=pc.field("p_brand").isin(brands),
-            )
-            .to_pandas()
-            .sort_values("p_partkey")
-        )
-        arm_code = {b: i for i, b in enumerate(brands)}
-        ref = ray.put(
-            (
-                pt["p_partkey"].to_numpy(np.int64),
-                pt["p_brand"].map(arm_code).to_numpy(np.int64),
-                pt["p_size"].to_numpy(np.int64),
-            )
-        )
-
-        def partial(t: pa.Table) -> pa.Table:
-            keys, arms, sizes = ray.get(ref)
-            pk = t["l_partkey"].to_numpy(zero_copy_only=False)
-            _, arm, size = lookup_sorted(keys, pk, arms, sizes, fill=-1)
-            qty = t["l_quantity"].to_numpy(zero_copy_only=False)
-            return block_rev(_q19_mask(arm, size, qty), t)
-
-        partials = li.map_batches(partial, batch_format="pyarrow")
-    else:
-        def brand_only(t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["p_brand"], value_set=pa.array(brands)))
-
-        part = table(
-            sf_dir, "part", ["p_partkey", "p_brand", "p_size"]
-        ).map_batches(brand_only, batch_format="pyarrow")
-        joined = common.join(li, part, "inner", ("l_partkey",),
-                             ("p_partkey",))
-        arm_code = {b: i for i, b in enumerate(brands)}
-
-        def partial_j(t) -> pa.Table:
-            if isinstance(t, pd.DataFrame):
-                t = pa.Table.from_pandas(t, preserve_index=False)
-            brand = t["p_brand"].to_pandas().map(arm_code).to_numpy(np.int64)
-            size = t["p_size"].to_numpy(zero_copy_only=False).astype(np.int64)
-            qty = t["l_quantity"].to_numpy(zero_copy_only=False)
-            return block_rev(_q19_mask(brand, size, qty), t)
-
-        partials = joined.map_batches(partial_j, batch_format="pyarrow")
+    partials = joined.map_batches(partial, batch_format="pyarrow")
 
     def final(t: pa.Table) -> pa.Table:
         cents = n = 0
@@ -725,9 +557,9 @@ def disjunctive_part_revenue(sf_dir: str):
 # --------------------------------------------------------------------------
 # Year-over-year revenue growth per nation — a LAG window over a
 # fixed-cardinality aggregate. The only exchange is attaching nationkey to
-# each order (broadcast custkey→nationkey under the gate, hash join
-# above); the (nation, year) partial stream is ≤ 25×years rows per block,
-# so the combine and the LAG both run on a bounded driver-side table.
+# each order (common.attach of customer); the (nation, year) partial
+# stream is ≤ 25×years rows per block, so the combine and the LAG both
+# run on a bounded driver-side table.
 _YOY_SQL = """
 WITH r AS (
   SELECT n_name, CAST(EXTRACT(year FROM o_orderdate) AS BIGINT) AS yr,
@@ -756,19 +588,22 @@ def nation_yoy_revenue_growth(sf_dir: str):
     )
     names = dict(zip(nat["n_nationkey"], nat["n_name"]))
 
-    orders = table(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
+    orders = common.attach(
+        table(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"]),
+        ("customer", sf_dir), "c_custkey", ["c_nationkey"], "o_custkey",
+        op="nation_yoy_revenue_growth",
+    )
 
-    def partial_from(nk: np.ndarray, t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         yr = (
             pc.year(t["o_orderdate"]).to_numpy(zero_copy_only=False)
             .astype(np.int64)
         )
-        cents = _cents(t["o_totalprice"]).to_numpy(zero_copy_only=False)
         m = pa.table(
             {
-                "nk": pa.array(nk, pa.int64()),
+                "nk": pc.cast(t["c_nationkey"], pa.int64()),
                 "yr": pa.array(yr, pa.int64()),
-                "cents": pa.array(cents, pa.int64()),
+                "cents": _cents(t["o_totalprice"]),
             }
         )
         return (
@@ -777,40 +612,7 @@ def nation_yoy_revenue_growth(sf_dir: str):
             .rename_columns(["nk", "yr", "cents"])
         )
 
-    if common.gate("nation_yoy_revenue_growth", "customer",
-                   table_num_rows(sf_dir, "customer"), LOOKUP_BROADCAST_MAX):
-        cust = (
-            pads.dataset(f"{sf_dir}/customer.parquet")
-            .to_table(columns=["c_custkey", "c_nationkey"])
-            .to_pandas()
-            .sort_values("c_custkey")
-        )
-        ref = ray.put(
-            (
-                cust["c_custkey"].to_numpy(np.int64),
-                cust["c_nationkey"].to_numpy(np.int64),
-            )
-        )
-
-        def partial(t: pa.Table) -> pa.Table:
-            keys, nks = ray.get(ref)
-            ck = t["o_custkey"].to_numpy(zero_copy_only=False)
-            nk = nks[np.searchsorted(keys, ck)]  # FK always present
-            return partial_from(nk, t)
-
-        partials = orders.map_batches(partial, batch_format="pyarrow")
-    else:
-        cust_ds = table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        joined = common.join(orders, cust_ds, "inner", ("o_custkey",),
-                             ("c_custkey",))
-
-        def partial_j(t) -> pa.Table:
-            if isinstance(t, pd.DataFrame):
-                t = pa.Table.from_pandas(t, preserve_index=False)
-            nk = t["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return partial_from(nk, t)
-
-        partials = joined.map_batches(partial_j, batch_format="pyarrow")
+    partials = orders.map_batches(partial, batch_format="pyarrow")
 
     def final(t: pa.Table) -> pa.Table:
         g = (
@@ -979,7 +781,7 @@ def order_value_gini_by_priority(sf_dir: str):
 # matrix is a fixed-cardinality partial stream (no shuffle at any scale);
 # expected counts and chi² terms are closed-form on the driver over ≤25
 # rows. The only wide step is attaching the customer's segment to each
-# order: broadcast under the customer gate, hash join above it.
+# order (common.attach).
 _CHI2_SQL = """
 WITH obs AS (
   SELECT c_mktsegment, o_orderpriority, CAST(count(*) AS BIGINT) AS n
@@ -1003,60 +805,21 @@ FROM obs o
 
 @register("segment_priority_chi2", sql=_CHI2_SQL)
 def segment_priority_chi2(sf_dir: str):
-    import pyarrow.dataset as pads
+    orders = common.attach(
+        table(sf_dir, "orders", ["o_custkey", "o_orderpriority"]),
+        ("customer", sf_dir), "c_custkey", ["c_mktsegment"], "o_custkey",
+        op="segment_priority_chi2",
+    )
 
-    orders = table(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-
-    if common.gate("segment_priority_chi2", "customer",
-                   table_num_rows(sf_dir, "customer"), LOOKUP_BROADCAST_MAX):
-        cust = (
-            pads.dataset(f"{sf_dir}/customer.parquet")
-            .to_table(columns=["c_custkey", "c_mktsegment"])
-            .to_pandas()
-            .sort_values("c_custkey")
-        )
-        segs = np.sort(cust["c_mktsegment"].unique())
-        seg_code = {s: i for i, s in enumerate(segs)}
-        ref = ray.put(
-            (
-                cust["c_custkey"].to_numpy(np.int64),
-                cust["c_mktsegment"].map(seg_code).to_numpy(np.int64),
-            )
+    def partial(t: pa.Table) -> pa.Table:
+        return (
+            pa.TableGroupBy(t.select(["c_mktsegment", "o_orderpriority"]),
+                            ["c_mktsegment", "o_orderpriority"])
+            .aggregate([([], "count_all")])
+            .rename_columns(["c_mktsegment", "o_orderpriority", "n"])
         )
 
-        def partial(t: pa.Table) -> pa.Table:
-            keys, codes = ray.get(ref)
-            ck = t["o_custkey"].to_numpy(zero_copy_only=False)
-            seg = codes[np.searchsorted(keys, ck)]  # FK always present
-            m = pa.table(
-                {
-                    "c_mktsegment": pa.array([segs[i] for i in seg]),
-                    "o_orderpriority": t["o_orderpriority"],
-                }
-            )
-            return (
-                pa.TableGroupBy(m, ["c_mktsegment", "o_orderpriority"])
-                .aggregate([([], "count_all")])
-                .rename_columns(["c_mktsegment", "o_orderpriority", "n"])
-            )
-
-        partials = orders.map_batches(partial, batch_format="pyarrow")
-    else:
-        cust_ds = table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-        joined = common.join(orders, cust_ds, "inner", ("o_custkey",),
-                             ("c_custkey",))
-
-        def partial_j(t) -> pa.Table:
-            if isinstance(t, pd.DataFrame):
-                t = pa.Table.from_pandas(t, preserve_index=False)
-            m = t.select(["c_mktsegment", "o_orderpriority"])
-            return (
-                pa.TableGroupBy(m, ["c_mktsegment", "o_orderpriority"])
-                .aggregate([([], "count_all")])
-                .rename_columns(["c_mktsegment", "o_orderpriority", "n"])
-            )
-
-        partials = joined.map_batches(partial_j, batch_format="pyarrow")
+    partials = orders.map_batches(partial, batch_format="pyarrow")
 
     def final(t: pa.Table) -> pa.Table:
         g = (
@@ -1699,14 +1462,16 @@ FROM r CROSS JOIN tot GROUP BY tot.t
 
 @register("nation_revenue_entropy", sql=_ENTROPY_SQL)
 def nation_revenue_entropy(sf_dir: str):
-    import pyarrow.dataset as pads
+    orders = common.attach(
+        table(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+        ("customer", sf_dir), "c_custkey", ["c_nationkey"], "o_custkey",
+        op="nation_revenue_entropy",
+    )
 
-    orders = table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def partial_from(nk: np.ndarray, t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         m = pa.table(
             {
-                "nk": pa.array(nk, pa.int64()),
+                "nk": pc.cast(t["c_nationkey"], pa.int64()),
                 "cents": _cents(t["o_totalprice"]),
             }
         )
@@ -1716,41 +1481,7 @@ def nation_revenue_entropy(sf_dir: str):
             .rename_columns(["nk", "cents"])
         )
 
-    if common.gate("nation_revenue_entropy", "customer",
-                   table_num_rows(sf_dir, "customer"), LOOKUP_BROADCAST_MAX):
-        cust = (
-            pads.dataset(f"{sf_dir}/customer.parquet")
-            .to_table(columns=["c_custkey", "c_nationkey"])
-            .to_pandas()
-            .sort_values("c_custkey")
-        )
-        ref = ray.put(
-            (cust["c_custkey"].to_numpy(np.int64),
-             cust["c_nationkey"].to_numpy(np.int64))
-        )
-
-        def partial(t: pa.Table) -> pa.Table:
-            keys, nks = ray.get(ref)
-            nk = nks[np.searchsorted(keys, t["o_custkey"].to_numpy(
-                zero_copy_only=False))]
-            return partial_from(nk, t)
-
-        partials = orders.map_batches(partial, batch_format="pyarrow")
-    else:
-        joined = common.join(
-            orders, table(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
-            "inner", ("o_custkey",), ("c_custkey",),
-        )
-
-        def partial_j(t) -> pa.Table:
-            if isinstance(t, pd.DataFrame):
-                t = pa.Table.from_pandas(t, preserve_index=False)
-            nk = t["c_nationkey"].to_numpy(zero_copy_only=False).astype(
-                np.int64
-            )
-            return partial_from(nk, t)
-
-        partials = joined.map_batches(partial_j, batch_format="pyarrow")
+    partials = orders.map_batches(partial, batch_format="pyarrow")
 
     def final(t: pa.Table) -> pa.Table:
         g = t.to_pandas().groupby("nk", as_index=False)["cents"].sum()

@@ -36,7 +36,6 @@ import ray.data
 
 from . import common
 from .common import (
-    LOOKUP_BROADCAST_MAX,
     bucketed_group_agg,
     combine_small,
     isin_sorted,
@@ -45,23 +44,7 @@ from .common import (
     table_num_rows,
 )
 from .queries import register
-from .relops2 import PART_BROADCAST_MAX, _cents, _ts_us
-
-
-def _sorted_lookup(keys: np.ndarray, vals: np.ndarray):
-    """Sort (keys, vals) by key for searchsorted probing."""
-    order = np.argsort(keys, kind="stable")
-    return keys[order], vals[order]
-
-
-def _orders_and_part_fit(op: str, sf_dir: str) -> bool:
-    """The Q8/Q9 broadcast gate: the orders AND the part lookups fit."""
-    return (
-        common.gate(op, "orders", table_num_rows(sf_dir, "orders"),
-                    LOOKUP_BROADCAST_MAX)
-        and common.gate(op, "part", table_num_rows(sf_dir, "part"),
-                        PART_BROADCAST_MAX)
-    )
+from .relops2 import _cents, _ts_us
 
 
 def _nation_names(sf_dir: str) -> dict[int, str]:
@@ -85,12 +68,10 @@ def _supplier_nation_ref(sf_dir: str):
     s = (
         pads.dataset(f"{sf_dir}/supplier.parquet")
         .to_table(columns=["s_suppkey", "s_nationkey"])
+        .sort_by("s_suppkey")
     )
-    k, v = _sorted_lookup(
-        s["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-        s["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-    )
-    return ray.put((k, v))
+    return ray.put(tuple(s[c].to_numpy().astype(np.int64)
+                         for c in s.column_names))
 
 
 # --------------------------------------------------------------------------
@@ -147,24 +128,22 @@ def nation_pair_trade_volume(sf_dir: str):
     # (bounded at 2/25 of the customer table; the over-gate path below
     # never materializes it driver-side — it stays a Dataset join side)
     if common.gate("nation_pair_trade_volume", "orders",
-                   table_num_rows(sf_dir, "orders"), LOOKUP_BROADCAST_MAX):
+                   table_num_rows(sf_dir, "orders"),
+                   common.LOOKUP_BROADCAST_MAX):
         cust = pads.dataset(f"{sf_dir}/customer.parquet").to_table(
             columns=["c_custkey", "c_nationkey"],
             filter=pc.field("c_nationkey").isin([nk1, nk2]),
-        )
-        ck, cn = _sorted_lookup(
-            cust["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-            cust["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-        )
+        ).sort_by("c_custkey")
         od = pads.dataset(f"{sf_dir}/orders.parquet").to_table(
             columns=["o_orderkey", "o_custkey"]
         )
-        okeys = od["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ocust = od["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        found, onat = lookup_sorted(ck, ocust, cn)
-        okeys, onat = okeys[found], onat[found]
-        okeys, onat = _sorted_lookup(okeys, onat)
-        ord_ref = ray.put((okeys, onat))
+        found, onat = lookup_sorted(
+            cust["c_custkey"].to_numpy(), od["o_custkey"].to_numpy(),
+            cust["c_nationkey"].to_numpy().astype(np.int64),
+        )
+        od = pa.table({"k": od["o_orderkey"].filter(pa.array(found)),
+                       "n": onat[found]}).sort_by("k")
+        ord_ref = ray.put((od["k"].to_numpy(), od["n"].to_numpy()))
 
         def partial(t: pa.Table) -> pa.Table:
             sd = _ts_us(t, "l_shipdate")
@@ -207,8 +186,6 @@ def nation_pair_trade_volume(sf_dir: str):
                              ("o_orderkey",))
 
         def partial_j(t) -> pa.Table:
-            if isinstance(t, pd.DataFrame):
-                t = pa.Table.from_pandas(t, preserve_index=False)
             if not t.num_rows:
                 return _q7_empty()
             cust_nk = (
@@ -353,7 +330,13 @@ def nation_market_share(sf_dir: str):
 
     supp_ref = _supplier_nation_ref(sf_dir)
 
-    if _orders_and_part_fit("nation_market_share", sf_dir):
+    # one gate for both lookups: the orders side is derived (semi-joined
+    # with the region's customers), so it cannot go through common.attach
+    op = "nation_market_share"
+    if (common.gate(op, "orders", table_num_rows(sf_dir, "orders"),
+                    common.LOOKUP_BROADCAST_MAX)
+            and common.gate(op, "part", table_num_rows(sf_dir, "part"),
+                            common.PART_BROADCAST_MAX)):
         pk = np.sort(
             pads.dataset(f"{sf_dir}/part.parquet")
             .to_table(
@@ -385,15 +368,12 @@ def nation_market_share(sf_dir: str):
             ck, od["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         )
         keep = in_window & in_region
-        okeys = (
-            od["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)[keep]
-        )
-        oyear = (
-            pc.year(od["o_orderdate"]).to_numpy(zero_copy_only=False)
-            .astype(np.int64)[keep]
-        )
-        okeys, oyear = _sorted_lookup(okeys, oyear)
-        ord_ref = ray.put((okeys, oyear))
+        od = pa.table({
+            "k": od["o_orderkey"].filter(pa.array(keep)),
+            "y": pc.cast(pc.year(od["o_orderdate"]), pa.int64()).filter(
+                pa.array(keep)),
+        }).sort_by("k")
+        ord_ref = ray.put((od["k"].to_numpy(), od["y"].to_numpy()))
 
         def partial(t: pa.Table) -> pa.Table:
             pkk = ray.get(part_ref)
@@ -464,8 +444,6 @@ def nation_market_share(sf_dir: str):
         )
 
         def partial_j(t) -> pa.Table:
-            if isinstance(t, pd.DataFrame):
-                t = pa.Table.from_pandas(t, preserve_index=False)
             if not t.num_rows:
                 return _q8_empty()
             oy = t["o_year"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -569,108 +547,54 @@ ORDER BY n_name, o_year
 
 @register("nation_part_profit", sql=_Q9_SQL)
 def nation_part_profit(sf_dir: str):
-    import pyarrow.dataset as pads
-
     names = _nation_names(sf_dir)
     supp_ref = _supplier_nation_ref(sf_dir)
 
-    if _orders_and_part_fit("nation_part_profit", sf_dir):
-        pt = pads.dataset(f"{sf_dir}/part.parquet").to_table(
-            columns=["p_partkey", "p_name", "p_retailprice"],
-            filter=pc.match_substring(pc.field("p_name"), _Q9_TOKEN),
+    li = table(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
+         "l_extendedprice", "l_discount"],
+    )
+    li = common.attach(
+        li, ("part", sf_dir), "p_partkey", ["p_retailprice"], "l_partkey",
+        op="nation_part_profit",
+        where=pc.match_substring(pc.field("p_name"), _Q9_TOKEN),
+    )
+    li = common.attach(li, ("orders", sf_dir), "o_orderkey", ["o_orderdate"],
+                       "l_orderkey", op="nation_part_profit")
+
+    def partial(t: pa.Table) -> pa.Table:
+        sk, sv = ray.get(supp_ref)
+        _, nk = lookup_sorted(  # FK always present
+            sk, t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64),
+            sv,
         )
-        pk, prp = _sorted_lookup(
-            pt["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-            pt["p_retailprice"].to_numpy(zero_copy_only=False).astype(
-                np.float64
-            ),
+        ep, disc, qty, rp = (
+            t[c].to_numpy(zero_copy_only=False)
+            for c in ("l_extendedprice", "l_discount", "l_quantity",
+                      "p_retailprice")
         )
-        part_ref = ray.put((pk, prp))
-        od = pads.dataset(f"{sf_dir}/orders.parquet").to_table(
-            columns=["o_orderkey", "o_orderdate"]
+        # same IEEE expression as the SQL oracle: ep*(1-disc) - (0.5*rp)*qty
+        profit = ep * (1.0 - disc) - (0.5 * rp.astype(np.float64)) * qty
+        m = pa.table(
+            {
+                "nk": pa.array(nk, pa.int64()),
+                "o_year": pc.cast(pc.year(t["o_orderdate"]), pa.int64()),
+                "cents": _cents(pa.array(profit)),
+            }
         )
-        ok, oy = _sorted_lookup(
-            od["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-            pc.year(od["o_orderdate"]).to_numpy(zero_copy_only=False).astype(
-                np.int64
-            ),
-        )
-        ord_ref = ray.put((ok, oy))
-
-        def partial(t: pa.Table) -> pa.Table:
-            pkk, prpp = ray.get(part_ref)
-            is_tok, rp = lookup_sorted(
-                pkk,
-                t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-                prpp,
-            )
-            t2 = t.filter(pa.array(is_tok))
-            if not t2.num_rows:
-                return _q9_empty()
-            ok2, oy2 = ray.get(ord_ref)
-            _, o_year = lookup_sorted(
-                ok2,
-                t2["l_orderkey"].to_numpy(zero_copy_only=False).astype(
-                    np.int64
-                ),
-                oy2,
-            )
-            return _q9_partial(t2, rp[is_tok], o_year, supp_ref)
-
-        partials = table(
-            sf_dir, "lineitem",
-            ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
-             "l_extendedprice", "l_discount"],
-        ).map_batches(partial, batch_format="pyarrow")
-    else:
-
-        def tok_parts(t: pa.Table) -> pa.Table:
-            keep = pc.match_substring(t["p_name"], _Q9_TOKEN)
-            return t.filter(keep).select(["p_partkey", "p_retailprice"])
-
-        part_ds = table(
-            sf_dir, "part", ["p_partkey", "p_name", "p_retailprice"]
-        ).map_batches(tok_parts, batch_format="pyarrow")
-
-        def ord_year(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "o_orderkey": t["o_orderkey"],
-                    "o_year": pc.cast(pc.year(t["o_orderdate"]), pa.int64()),
-                }
-            )
-
-        ord_ds = table(
-            sf_dir, "orders", ["o_orderkey", "o_orderdate"]
-        ).map_batches(ord_year, batch_format="pyarrow")
-
-        li = table(
-            sf_dir, "lineitem",
-            ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
-             "l_extendedprice", "l_discount"],
-        )
-        li = common.join(
-            common.join(li, part_ds, "inner", ("l_partkey",), ("p_partkey",)),
-            ord_ds, "inner", ("l_orderkey",), ("o_orderkey",),
+        return (
+            pa.TableGroupBy(m, ["nk", "o_year"])
+            .aggregate([("cents", "sum")])
+            .rename_columns(["nk", "o_year", "cents"])
         )
 
-        def partial_j(t) -> pa.Table:
-            if isinstance(t, pd.DataFrame):
-                t = pa.Table.from_pandas(t, preserve_index=False)
-            if not t.num_rows:
-                return _q9_empty()
-            rp = t["p_retailprice"].to_numpy(zero_copy_only=False).astype(
-                np.float64
-            )
-            oy = t["o_year"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return _q9_partial(t, rp, oy, supp_ref)
-
-        partials = li.map_batches(partial_j, batch_format="pyarrow")
+    partials = li.map_batches(partial, batch_format="pyarrow")
 
     def final(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().reindex(columns=["nk", "o_year", "cents"])
         g = (
-            t.to_pandas()
-            .groupby(["nk", "o_year"], as_index=False)["cents"]
+            df.groupby(["nk", "o_year"], as_index=False)["cents"]
             .sum()
             .sort_values(["nk", "o_year"], kind="stable")
         )
@@ -685,49 +609,6 @@ def nation_part_profit(sf_dir: str):
         )
 
     return combine_small(partials, final)
-
-
-def _q9_empty() -> pa.Table:
-    return pa.table(
-        {
-            "nk": pa.array([], pa.int64()),
-            "o_year": pa.array([], pa.int64()),
-            "cents": pa.array([], pa.int64()),
-        }
-    )
-
-
-def _q9_partial(
-    t: pa.Table, retailprice: np.ndarray, o_year: np.ndarray, supp_ref
-) -> pa.Table:
-    sk, sv = ray.get(supp_ref)
-    _, nk = lookup_sorted(
-        sk, t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64), sv
-    )
-    ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-    disc = t["l_discount"].to_numpy(zero_copy_only=False)
-    qty = t["l_quantity"].to_numpy(zero_copy_only=False)
-    # same IEEE expression as the SQL oracle: ep*(1-disc) - (0.5*rp)*qty
-    profit = ep * (1.0 - disc) - (0.5 * retailprice) * qty
-    cents = pc.cast(
-        pc.round(
-            pc.multiply(pa.array(profit), pa.scalar(100.0)),
-            round_mode="half_towards_infinity",
-        ),
-        pa.int64(),
-    )
-    m = pa.table(
-        {
-            "nk": pa.array(nk, pa.int64()),
-            "o_year": pa.array(o_year, pa.int64()),
-            "cents": cents,
-        }
-    )
-    return (
-        pa.TableGroupBy(m, ["nk", "o_year"])
-        .aggregate([("cents", "sum")])
-        .rename_columns(["nk", "o_year", "cents"])
-    )
 
 
 # --------------------------------------------------------------------------
@@ -777,69 +658,28 @@ def sole_late_shipper_suppliers(sf_dir: str):
 
     li = table(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
 
-    if common.gate("sole_late_shipper_suppliers", "orders",
-                   table_num_rows(sf_dir, "orders"), LOOKUP_BROADCAST_MAX):
-        od = pads.dataset(f"{sf_dir}/orders.parquet").to_table(
-            columns=["o_orderkey", "o_orderdate"]
-        )
-        ok, ots = _sorted_lookup(
-            od["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-            pc.cast(od["o_orderdate"], pa.int64()).to_numpy(
-                zero_copy_only=False
-            ),
-        )
-        ord_ref = ray.put((ok, ots))
+    joined = common.attach(li, ("orders", sf_dir), "o_orderkey",
+                           ["o_orderdate"], "l_orderkey",
+                           op="sole_late_shipper_suppliers")
 
-        def partial(t: pa.Table) -> pa.Table:
-            okk, otss = ray.get(ord_ref)
-            lk = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(
-                np.int64
-            )
-            _, ots_l = lookup_sorted(okk, lk, otss)  # FK always present
-            late = (
-                _ts_us(t, "l_shipdate") > ots_l + _Q21_LATE_US
-            ).astype(np.int64)
-            m = pa.table(
-                {
-                    "okey": pa.array(lk),
-                    "skey": t["l_suppkey"],
-                    "late": pa.array(late),
-                }
-            )
-            return (
-                pa.TableGroupBy(m, ["okey", "skey"])
-                .aggregate([("late", "max")])
-                .rename_columns(["okey", "skey", "late"])
-            )
-
-        ol = li.map_batches(partial, batch_format="pyarrow")
-    else:
-        joined = common.join(
-            li, table(sf_dir, "orders", ["o_orderkey", "o_orderdate"]),
-            "inner", ("l_orderkey",), ("o_orderkey",),
+    def partial(t: pa.Table) -> pa.Table:
+        late = (
+            _ts_us(t, "l_shipdate") > _ts_us(t, "o_orderdate") + _Q21_LATE_US
+        ).astype(np.int64)
+        m = pa.table(
+            {
+                "okey": t["l_orderkey"],
+                "skey": t["l_suppkey"],
+                "late": pa.array(late),
+            }
+        )
+        return (
+            pa.TableGroupBy(m, ["okey", "skey"])
+            .aggregate([("late", "max")])
+            .rename_columns(["okey", "skey", "late"])
         )
 
-        def partial_j(t) -> pa.Table:
-            if isinstance(t, pd.DataFrame):
-                t = pa.Table.from_pandas(t, preserve_index=False)
-            late = (
-                _ts_us(t, "l_shipdate")
-                > _ts_us(t, "o_orderdate") + _Q21_LATE_US
-            ).astype(np.int64)
-            m = pa.table(
-                {
-                    "okey": t["l_orderkey"],
-                    "skey": t["l_suppkey"],
-                    "late": pa.array(late),
-                }
-            )
-            return (
-                pa.TableGroupBy(m, ["okey", "skey"])
-                .aggregate([("late", "max")])
-                .rename_columns(["okey", "skey", "late"])
-            )
-
-        ol = joined.map_batches(partial_j, batch_format="pyarrow")
+    ol = joined.map_batches(partial, batch_format="pyarrow")
 
     def per_order(g: pd.DataFrame) -> pd.DataFrame:
         # finish the (okey, skey) max-late fold (blocks may split an
@@ -948,8 +788,6 @@ def important_parts_revenue_share(sf_dir: str):
     lhs_mult = n_parts * 2
 
     def keep_important(t: pa.Table) -> pa.Table:
-        if isinstance(t, pd.DataFrame):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         if not t.num_rows:
             return pa.table(
                 {

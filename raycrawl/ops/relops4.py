@@ -27,12 +27,11 @@ verification is block-local and dedups identical prefixes first, so
 exact-dup-heavy blocks cost O(distinct-prefixes²) not O(rows²).
 Association rules pre-dedup (order, brand) per block, exchange keyed on
 orderkey (pairs are generated bucket-locally; brand cardinality bounds
-per-order fan-out at ~300 pairs), and the brand dimension broadcasts
-under the same adaptive ``PART_BROADCAST_MAX`` gate / ``Dataset.join``
-fallback as every other part-dim op.  The KS drift never shuffles at
-all: both passes are fixed-cardinality map-side partials (type × 256
-bins × 2 halves) folded in one local combine — the shape that still
-works when events is 100 TB.
+per-order fan-out at ~300 pairs), and the brand dimension attaches
+through ``common.attach`` like every other part-dim op.  The KS drift
+never shuffles at all: both passes are fixed-cardinality map-side
+partials (type × 256 bins × 2 halves) folded in one local combine — the
+shape that still works when events is 100 TB.
 """
 
 from __future__ import annotations
@@ -49,10 +48,8 @@ from .common import (
     combine_small,
     round_half_away,
     table,
-    table_num_rows,
 )
 from .queries import register
-from .relops2 import PART_BROADCAST_MAX
 
 # --------------------------------------------------------------------------
 # caption_edit_distance_neardups
@@ -357,87 +354,33 @@ _AR_MINSUP = 5
 def brand_association_rules(sf_dir: str):
     li = table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
-    if common.gate("brand_association_rules", "part",
-                   table_num_rows(sf_dir, "part"), PART_BROADCAST_MAX):
-        import pyarrow.dataset as pads
+    def to_ob(t: pa.Table) -> pa.Table:
+        m = pa.table({"ok": t["l_orderkey"], "brand": t["p_brand"]})
+        return m.group_by(["ok", "brand"]).aggregate([])
 
-        pt = pads.dataset(f"{sf_dir}/part.parquet").to_table(
-            columns=["p_partkey", "p_brand"]
-        )
-        pk = pt["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(pk, kind="stable")
-        codes, brands = pd.factorize(
-            pt["p_brand"].to_numpy(zero_copy_only=False), sort=True
-        )
-        part_ref = ray.put((pk[order], codes[order].astype(np.int64)))
-        brand_names = list(brands)
-
-        def to_ob(t: pa.Table) -> pa.Table:
-            keys, vals = ray.get(part_ref)
-            probe = t["l_partkey"].to_numpy(zero_copy_only=False).astype(
-                np.int64
-            )
-            pos = np.searchsorted(keys, probe)
-            m = pa.table(
-                {"ok": t["l_orderkey"], "brand_code": pa.array(vals[pos])}
-            )
-            return m.group_by(["ok", "brand_code"]).aggregate([])
-
-        ob = li.map_batches(to_ob, batch_format="pyarrow")
-    else:
-        part_ds = table(sf_dir, "part", ["p_partkey", "p_brand"])
-        brand_names = sorted(
-            part_ds.select_columns(["p_brand"]).unique("p_brand")
-        )
-        code_of = {b: i for i, b in enumerate(brand_names)}
-
-        def post(t: pa.Table) -> pa.Table:
-            codes_arr = pa.array(
-                [code_of[b] for b in t["p_brand"].to_pylist()],
-                pa.int64(),
-            )
-            m = pa.table({"ok": t["l_orderkey"], "brand_code": codes_arr})
-            return m.group_by(["ok", "brand_code"]).aggregate([])
-
-        ob = common.join(
-            li, part_ds, "inner", ("l_partkey",), ("p_partkey",)
-        ).map_batches(post, batch_format="pyarrow")
+    ob = common.attach(
+        li, ("part", sf_dir), "p_partkey", ["p_brand"], "l_partkey",
+        op="brand_association_rules",
+    ).map_batches(to_ob, batch_format="pyarrow")
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[["ok", "brand_code"]].drop_duplicates()
-        singles = g.groupby("brand_code", as_index=False).agg(
+        # "" in b marks a brand's order count; in a and b the order count
+        g = g[["ok", "brand"]].drop_duplicates()
+        singles = g.groupby("brand", as_index=False).agg(cnt=("ok", "size"))
+        pairs = g.merge(g, on="ok")
+        pairs = pairs[pairs["brand_x"] < pairs["brand_y"]]
+        pairs = pairs.groupby(["brand_x", "brand_y"], as_index=False).agg(
             cnt=("ok", "size")
         )
-        pairs = g.merge(g, on="ok")
-        pairs = pairs[pairs["brand_code_x"] < pairs["brand_code_y"]]
-        pairs = pairs.groupby(
-            ["brand_code_x", "brand_code_y"], as_index=False
-        ).agg(cnt=("ok", "size"))
-        return pd.DataFrame(
-            {
-                "a": np.concatenate(
-                    [
-                        pairs["brand_code_x"].to_numpy(np.int64),
-                        singles["brand_code"].to_numpy(np.int64),
-                        np.array([-1], dtype=np.int64),
-                    ]
-                ),
-                "b": np.concatenate(
-                    [
-                        pairs["brand_code_y"].to_numpy(np.int64),
-                        np.full(len(singles), -1, dtype=np.int64),
-                        np.array([-1], dtype=np.int64),
-                    ]
-                ),
-                "cnt": np.concatenate(
-                    [
-                        pairs["cnt"].to_numpy(np.int64),
-                        singles["cnt"].to_numpy(np.int64),
-                        np.array([g["ok"].nunique()], dtype=np.int64),
-                    ]
-                ),
-            }
-        )
+        return pd.concat(
+            [
+                pairs.rename(columns={"brand_x": "a", "brand_y": "b"}),
+                singles.rename(columns={"brand": "a"}).assign(b=""),
+                pd.DataFrame({"a": [""], "b": [""],
+                              "cnt": [g["ok"].nunique()]}),
+            ],
+            ignore_index=True,
+        )[["a", "b", "cnt"]].astype({"cnt": np.int64})
 
     partials = bucketed_group_agg(ob, ["ok"], per_bucket)
 
@@ -447,14 +390,10 @@ def brand_association_rules(sf_dir: str):
             .groupby(["a", "b"], as_index=False)
             .agg(cnt=("cnt", "sum"))
         )
-        n_orders = int(df.loc[(df["a"] == -1) & (df["b"] == -1), "cnt"].sum())
-        marg = dict(
-            zip(
-                df.loc[(df["a"] >= 0) & (df["b"] == -1), "a"],
-                df.loc[(df["a"] >= 0) & (df["b"] == -1), "cnt"],
-            )
-        )
-        pr = df[(df["a"] >= 0) & (df["b"] >= 0)]
+        n_orders = int(df.loc[(df["a"] == "") & (df["b"] == ""), "cnt"].sum())
+        single = (df["a"] != "") & (df["b"] == "")
+        marg = dict(zip(df.loc[single, "a"], df.loc[single, "cnt"]))
+        pr = df[(df["a"] != "") & (df["b"] != "")]
         pr = pr[pr["cnt"] >= _AR_MINSUP].sort_values(["a", "b"])
         sup = pr["cnt"].to_numpy(np.int64)
         ca = np.array([marg[a] for a in pr["a"]], dtype=np.int64)
@@ -463,8 +402,8 @@ def brand_association_rules(sf_dir: str):
         lift = (sup * n_orders) / (ca * cb)
         return pa.table(
             {
-                "brand_a": pa.array([brand_names[a] for a in pr["a"]]),
-                "brand_b": pa.array([brand_names[b] for b in pr["b"]]),
+                "brand_a": pa.array(pr["a"], pa.string()),
+                "brand_b": pa.array(pr["b"], pa.string()),
                 "support_cnt": pa.array(sup),
                 "confidence": pa.array(round_half_away(conf, 6)),
                 "lift": pa.array(round_half_away(lift, 6)),

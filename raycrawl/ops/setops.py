@@ -6,8 +6,8 @@ import pandas as pd
 import pyarrow as pa
 from ray.data.aggregate import Count
 
-from .common import bucketed_group_agg, table
-from .queries import register
+from .common import bucketed_group_agg, table, table_num_rows
+from .queries import _no_events, register
 
 
 # ds.unique — distinct values of a column (a shuffle)
@@ -66,6 +66,9 @@ def union_name_initials(sf_dir: str):
     """,
 )
 def top2_events_per_user(sf_dir: str):
+    if not table_num_rows(sf_dir, "events"):
+        return _no_events(user_id=pa.int64(), event_id=pa.int64(),
+                          value=pa.float64(), rnk=pa.int64())
     ds = table(sf_dir, "events", ["user_id", "event_id", "value"])
 
     # per-group top-k over a user BUCKET: one vectorized sort + cumcount

@@ -61,6 +61,9 @@ def asof_last_purchase(sf_dir: str):
     earlier user's encoding). The strictly-earlier semantics come from
     reading the cummax at the last row BEFORE the row's ts-group
     (searchsorted 'left' on the shifted timestamps)."""
+    if not table_num_rows(sf_dir, "events"):
+        return _no_events(event_id=pa.int64(),
+                          last_purchase_ts=pa.timestamp("us"))
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def asof_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -173,6 +176,8 @@ def user_sessions_30m(sf_dir: str):
     """,
 )
 def running_event_index(sf_dir: str):
+    if not table_num_rows(sf_dir, "events"):
+        return _no_events(event_id=pa.int64(), prior_events=pa.int64())
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def running_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -205,6 +210,8 @@ def running_event_index(sf_dir: str):
     """,
 )
 def sliding_window_counts(sf_dir: str):
+    if not table_num_rows(sf_dir, "events"):
+        return _no_events(event_id=pa.int64(), n_in_window=pa.int64())
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts"])
     gap_us = 30 * 60 * 1_000_000
 
@@ -251,6 +258,9 @@ def sliding_window_counts(sf_dir: str):
     """,
 )
 def user_interarrival_stats(sf_dir: str):
+    if not table_num_rows(sf_dir, "events"):
+        return _no_events(user_id=pa.int64(), n_events=pa.int64(),
+                          avg_gap_us=pa.int64(), max_gap_us=pa.int64())
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts"])
     return bucketed_group_agg(ds, ["user_id"], interarrival_bucket_stats)
 
@@ -307,6 +317,8 @@ def interarrival_bucket_stats(g: pd.DataFrame) -> pd.DataFrame:
     """,
 )
 def rolling_value_mean_5(sf_dir: str):
+    if not table_num_rows(sf_dir, "events"):
+        return _no_events(event_id=pa.int64(), rolling_mean_5=pa.float64())
     ds = table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     W = 5
 
@@ -731,6 +743,9 @@ def rolling_7d_distinct_users(sf_dir: str):
 def first_touch_event_share(sf_dir: str):
     from .common import combine_small, round_half_away
 
+    if not table_num_rows(sf_dir, "events"):
+        return _no_events(event_type=pa.string(), n_users=pa.int64(),
+                          share=pa.float64())
     ds = table(sf_dir, "events", ["ts", "user_id", "event_type", "event_id"])
 
     def argmin_partial(df: pd.DataFrame) -> pd.DataFrame:

@@ -4,9 +4,12 @@ The table set is sf0.001 with ``events`` rewritten to zero rows (same
 schema). Ray 2.49 hands an empty block through ``map_batches`` without
 calling the UDF, so a final combine sees the input's columns or none, and
 the ``to_pandas`` of an empty Dataset has no columns. Before these ops
-handled it, three of them returned a result with no columns
-(events_per_minute, hourly_user_windows, user_sessions_30m),
-rolling_7d_distinct_users raised ``KeyError: 'day'`` and
+handled it, ten of them returned a result with no columns
+(events_per_minute, hourly_user_windows, user_sessions_30m,
+asof_last_purchase, running_event_index, sliding_window_counts,
+user_interarrival_stats, rolling_value_mean_5, user_event_profile,
+top2_events_per_user), rolling_7d_distinct_users raised ``KeyError:
+'day'``, first_touch_event_share ``KeyError: 'event_type'`` and
 label_propagation ``KeyError: 'src'``."""
 
 import importlib.util
@@ -22,7 +25,10 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 EMPTY_EVENTS_OPS = (
     "events_per_minute", "hourly_user_windows", "user_sessions_30m",
-    "rolling_7d_distinct_users", "label_propagation",
+    "rolling_7d_distinct_users", "label_propagation", "asof_last_purchase",
+    "running_event_index", "sliding_window_counts", "user_interarrival_stats",
+    "rolling_value_mean_5", "user_event_profile", "top2_events_per_user",
+    "first_touch_event_share",
 )
 
 

@@ -141,6 +141,33 @@ def test_lookup_sorted_never_indexes_an_empty_side():
     assert len(lookup_sorted(keys, np.array([], np.int64), vals)[1]) == 0
 
 
+def _case(empty: str) -> tuple[pa.Table, pa.Table]:
+    """The stream and the lookup side of the seam tests: key 1 is absent
+    from the side, key 4 from the stream; ``empty`` names the side(s)
+    ("left", "right", "both") without rows, or none."""
+    left = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
+                     "a": pa.array(["x", "y", "z"])})
+    right = pa.table({"rk": pa.array([2, 3, 4], pa.int64()),
+                      "b": pa.array([0.5, 1.5, 2.5])})
+    if empty in ("left", "both"):
+        left = left.slice(0, 0)
+    if empty in ("right", "both"):
+        right = right.slice(0, 0)
+    return left, right
+
+
+def _arrow_join(left, right, how) -> pa.Table:
+    return left.join(right, keys="k", right_keys="rk",
+                     join_type=how.replace("_", " "))
+
+
+def _blocks(ds) -> list[pa.Table]:
+    """The blocks themselves: to_pandas drops an empty result's columns."""
+    import ray
+
+    return ray.get(ds.to_arrow_refs())
+
+
 @pytest.mark.parametrize("how", ["inner", "left_outer", "full_outer"])
 @pytest.mark.parametrize("empty", ["left", "right", "both"])
 def test_join_with_an_empty_side_is_the_arrow_join(ray_session, how, empty):
@@ -150,20 +177,68 @@ def test_join_with_an_empty_side_is_the_arrow_join(ray_session, how, empty):
 
     from raycrawl.ops import common
 
-    left = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
-                     "a": pa.array(["x", "y", "z"])})
-    right = pa.table({"rk": pa.array([2, 3, 4], pa.int64()),
-                      "b": pa.array([0.5, 1.5, 2.5])})
-    if empty in ("left", "both"):
-        left = left.slice(0, 0)
-    if empty in ("right", "both"):
-        right = right.slice(0, 0)
+    left, right = _case(empty)
     joined = common.join(ray.data.from_arrow(left), ray.data.from_arrow(right),
                          how, ("k",), ("rk",))
-    # the blocks themselves: to_pandas drops an empty result's columns
-    got = pa.concat_tables(ray.get(joined.to_arrow_refs()))
-    want = left.join(right, keys="k", right_keys="rk",
-                     join_type=how.replace("_", " "))
+    got = pa.concat_tables(_blocks(joined))
+    want = _arrow_join(left, right, how)
     assert got.schema == want.schema
     pd.testing.assert_frame_equal(norm(got.to_pandas()),
                                   norm(want.to_pandas()))
+
+
+@pytest.mark.parametrize("small", [True, False],
+                         ids=["small-side", "partitioned"])
+@pytest.mark.parametrize("how", ["inner", "left_outer"])
+@pytest.mark.parametrize("empty", ["none", "left", "right", "both"])
+def test_attach_is_the_arrow_join(ray_session, force_gates, tmp_path, how,
+                                  empty, small):
+    """``common.attach`` on either gate side gives what ``pa.Table.join``
+    gives on the same cases: the stream's columns, then the side's, typed
+    as stored, absent keys dropped (inner) or null (left outer). The side
+    is a base table that ``where`` empties. On the small side an empty
+    stream gives no columns: Ray skips the probe on an empty block, as it
+    skips every pyarrow map there."""
+    import pyarrow.compute as pc
+    import ray.data
+
+    from raycrawl.ops import common
+
+    left, right = _case(empty)
+    pq.write_table(_case("none")[1], str(tmp_path / "side.parquet"))
+    force_gates(small)
+    joined = common.attach(
+        ray.data.from_arrow(left), ("side", str(tmp_path)), "rk", ["b"], "k",
+        how, op="attach_test",
+        where=pc.field("b") < 0 if empty in ("right", "both") else None)
+    assert force_gates.sides("attach_test") == {"side": small}
+    blocks = [b for b in _blocks(joined) if b.num_columns]
+    want = _arrow_join(left, right, how)
+    if not blocks:
+        assert small and not left.num_rows
+        return
+    got = pa.concat_tables(blocks)
+    assert got.schema == want.schema
+    pd.testing.assert_frame_equal(norm(got.to_pandas()),
+                                  norm(want.to_pandas()))
+
+
+def test_attach_takes_a_materialized_side(ray_session, force_gates):
+    """A Dataset side is sized by its row count and looked up the same way
+    on both gate sides."""
+    import ray.data
+
+    from raycrawl.ops import common
+
+    stream = ray.data.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
+    side = ray.data.from_pandas(pd.DataFrame({"rk": [2, 5], "n": [7, 8]}))
+    got = {}
+    for small in (True, False):
+        force_gates(small)
+        t = pa.concat_tables(_blocks(common.attach(
+            stream, ("counts", side), "rk", ["n"], "k", "left_outer",
+            op="attach_test")))
+        assert force_gates.seen == [
+            ("attach_test", "counts", 2, common.LOOKUP_BROADCAST_MAX, small)]
+        got[small] = sorted(zip(t["k"].to_pylist(), t["n"].to_pylist()))
+    assert got[True] == got[False] == [(1, None), (2, 7)]

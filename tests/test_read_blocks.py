@@ -106,3 +106,23 @@ def test_registry_ops_match_sql_on_split_reads(ray_session, split_reads,
     got = _df(REGISTRY[name]["fn"](SF))
     assert split_reads.runs, f"{name} no longer reads through table()"
     assert _compare()(name, got, oracle(name, SF)) == []
+
+
+def test_small_side_attach_fuses_with_its_read_and_partial(ray_session,
+                                                           force_gates):
+    """A small-side ``attach`` is one pyarrow map over the stream, so the
+    read, the probe and the op's partial run as ONE fused task."""
+    from raycrawl.ops import common
+
+    force_gates(True)
+    li = common.attach(
+        common.table(SF, "lineitem", ["l_orderkey", "l_quantity"]),
+        ("orders", SF), "o_orderkey", ["o_orderpriority"], "l_orderkey",
+        op="attach_plan_test",
+    )
+    ds = _mapped(li)
+    ops = _operators(ds)
+    assert len(ops) == 1, ops
+    assert ("ReadParquet->MapBatches(probe)->MapBatches(keep): 1 tasks "
+            "executed") in ops[0], ops
+    assert ds.count() == common.table_num_rows(SF, "lineitem")

@@ -83,6 +83,38 @@ def test_partial_blocks_merge_only_in_common():
     assert not offenders, f"block-ref walks outside ops/common.py: {offenders}"
 
 
+# The ops whose lookup side is derived from another join: they read and
+# gate it themselves (DESIGN §2c), so they name the lookup bounds.
+DERIVED_SIDE_OPS = ("shipping_priority_topk", "nation_pair_trade_volume",
+                    "nation_market_share")
+
+
+def test_lookups_attach_through_common():
+    """Every sorted-lookup broadcast-or-join decides and probes in
+    ``common.attach``, which alone picks ``LOOKUP_BROADCAST_MAX`` or
+    ``PART_BROADCAST_MAX``. Enforced by grep: no module under
+    ``raycrawl/`` but ``ops/common.py`` names either bound, outside the
+    functions of ``DERIVED_SIDE_OPS``."""
+    import ast
+
+    pat = re.compile(r"\b(LOOKUP|PART)_BROADCAST_MAX\b")
+    offenders = []
+    for path in _source_files():
+        rel = os.path.relpath(path, REPO)
+        if rel == "raycrawl/ops/common.py":
+            continue
+        src = open(path).read()
+        allowed = set()
+        for node in ast.parse(src).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in DERIVED_SIDE_OPS):
+                allowed.update(range(node.lineno, node.end_lineno + 1))
+        offenders += [f"{rel}:{i}"
+                      for i, line in enumerate(src.splitlines(), 1)
+                      if pat.search(line) and i not in allowed]
+    assert not offenders, f"lookup bounds outside common.attach: {offenders}"
+
+
 def test_gates_decide_through_common_gate():
     """Every broadcast/driver-path gate in ``raycrawl/ops`` and
     ``raycrawl/pipelines`` decides through ``common.gate``, its only

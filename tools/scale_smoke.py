@@ -276,18 +276,19 @@ def main() -> None:
         len(mh) > 0 and float(mh["jaccard"].max()) >= 0.999
     )
 
-    # round-4: the pair-funnel tail on a MIRROR-HEAVY corpus. 7,200
-    # clusters × 10 identical docs → 72k docs × 16 bands = 1.15M band rows
-    # (> the 1M band gate → distributed path) and 45 pairs × 16 bands ×
-    # 7,200 = ~5.18M raw pair rows (> LSH_PAIR_FUNNEL_MAX_PAIRS) → the
+    # the pair-funnel tail on a MIRROR-HEAVY corpus. 26,400 clusters × 20
+    # identical docs → 528k docs × 16 bands = 8.4M band rows (> the 1M
+    # band gate → distributed path) and 190 pairs × 26,400 = 5,016,000
+    # DISTINCT pairs (> LSH_PAIR_FUNNEL_MAX_PAIRS, whatever the bucket
+    # count folds of the ~80M cross-band pair rows) → the
     # bucketed-pair-dedup + Dataset.join verification branch must fire on
-    # real over-gate data and find exactly 45 pairs per cluster, all at
+    # real over-gate data and find exactly 190 pairs per cluster, all at
     # Jaccard 1.0 — no driver funnel.
     import pandas as _pd
 
     mh_dir = os.path.join(args.dir, "_mhjoin")
     dloc = os.path.join(mh_dir, "documents.parquet")
-    n_clusters, copies = 7200, 10
+    n_clusters, copies = 26_400, 20
     if not os.path.isdir(dloc):
         os.makedirs(dloc, exist_ok=True)
         ids, texts = [], []
