@@ -24,14 +24,17 @@ rounds, politeness-sleep. Re-expressed Ray-Data-first:
       sink     — the same pipeline streams into
                  ``write_parquet(out/payload/epoch=K)`` → a failed run
                  resumes by epoch directory
-      finalize — after the pipeline, each shard actor runs the phash
-                 near-dup gate over its submitted rows in frontier order
-                 (``gate_finalize``), returns the suppressed digests (→
-                 per-epoch sidecar; ``read_payload`` anti-filters them)
-                 and the surviving outlinks bucketed by target shard; the
-                 driver routes those to peers' pending buffers — the
-                 frontier-merge exchange, arrival-order-free because the
-                 merge at the next pop is a data property
+      finalize — after the pipeline, each shard actor runs ONE gate walk
+                 over its submitted rows in frontier order
+                 (``gate_finalize``): near-dups judged by its own phash
+                 index, or — with ``global_phash_dedup`` — by the dedup
+                 tier's verdict, which host and dedup shards reach actor
+                 to actor (``_gate``). It returns the suppressed digests
+                 (→ per-epoch sidecar; ``read_payload`` anti-filters them)
+                 and refs of the surviving outlinks bucketed by target
+                 shard; the driver passes those refs to peers' pending
+                 buffers — the frontier-merge exchange, arrival-order-free
+                 because the merge at the next pop is a data property
       checkpoint every ``saving_period`` epochs — Lance-style epoch dirs
                  (parquet fallback) with per-partition lineage manifests.
 
@@ -72,14 +75,10 @@ import ray.data
 from .core.urltools import (canonicalize_url, canonical_and_host, url_sha1,
                             host_of, is_base_independent, shard_of_host)
 from .core.webgraph import WebConfig, priority_of
-from .frontier.shard import FrontierShard
-from .frontier.phash_shard import PhashDedupShard, owner_shards
+from .frontier.shard import SIDECARS, FrontierShard
+from .frontier.phash_shard import PhashDedupShard
 from .stages.fetch import fetch_batch, decode_batch
 from .io import lancelike
-
-# Per-epoch (url_hash, host) sidecar trees beside the payload, in the
-# order of their lists in a shard's gate result (``finals[s][1:5]``).
-SIDECARS = ("suppressed", "errors", "redirects", "not_modified")
 
 
 @dataclass
@@ -261,6 +260,16 @@ def _seed_tables(cfg: CrawlConfig, seeds: list[str]):
             (cu, d, h, _prio(d, h, cfg.host_priority_boost), 0)
         )
     return per_shard
+
+
+def _offer_seeds(cfg: CrawlConfig, actors, seeds: list[str], key,
+                 epoch: int) -> None:
+    """Offer ``seeds`` at depth 0 to their owning shards' pending buffers
+    as discovered at ``epoch``, under the offer memo key ``key``."""
+    ray.get([
+        actors[sh].offer.remote(key, *map(list, zip(*rows)), epoch)
+        for sh, rows in _seed_tables(cfg, seeds).items()
+    ])
 
 
 def control_plane_remote(cls, num_cpus: float):
@@ -566,18 +575,9 @@ def _crawl(cfg: CrawlConfig, seeds: list[str], start_epoch: int,
                 )
         _load_etag_manifest(cfg.etag_manifest_dir, actors, cfg.num_shards)
     if not resume:
-        ray.get([
-            actors[sh].offer.remote(
-                -1,
-                [r[0] for r in rows], [r[1] for r in rows],
-                [r[2] for r in rows], [r[3] for r in rows],
-                [r[4] for r in rows], 0,
-            )
-            for sh, rows in _seed_tables(cfg, seeds).items()
-        ])
+        _offer_seeds(cfg, actors, seeds, -1, 0)
 
     stats = CrawlStats(out_dir=cfg.out_dir)
-    num_shards = cfg.num_shards
     keep_bytes = cfg.keep_bytes_in_payload
     for side in SIDECARS:
         os.makedirs(os.path.join(cfg.out_dir, side), exist_ok=True)
@@ -630,15 +630,7 @@ def _crawl(cfg: CrawlConfig, seeds: list[str], start_epoch: int,
             # memo key leads with the epoch (eviction compares k[0] to the
             # replay-horizon floor); "inject" disambiguates from the
             # (epoch, src_shard) keys of peer offers
-            ray.get([
-                actors[sh].offer.remote(
-                    (epoch, "inject"),
-                    [r[0] for r in rows], [r[1] for r in rows],
-                    [r[2] for r in rows], [r[3] for r in rows],
-                    [r[4] for r in rows], epoch,
-                )
-                for sh, rows in _seed_tables(cfg, inj_list).items()
-            ])
+            _offer_seeds(cfg, actors, inj_list, (epoch, "inject"), epoch)
         if follow_off != persisted_off:
             tmpf = follow_off_path + ".tmp"
             with open(tmpf, "w") as f:
@@ -761,52 +753,10 @@ def _crawl(cfg: CrawlConfig, seeds: list[str], start_epoch: int,
         )
         t = _mark("stats", t)
 
-        # ordered phash gate + frontier merge (meta only; offers routed as
-        # object refs between actors, never materialized on the driver)
-        if dedup_actors is not None:
-            # global tier: judge (read-only, global order) → OR verdicts →
-            # commit admitted → host shards apply the suppression set
-            cands = ray.get([a.collect_candidates.remote(epoch) for a in actors])
-            routed: dict[int, tuple[list, list, list]] = {}
-            for digests, phashes, keys in cands:
-                for dg, ph, k in zip(digests, phashes, keys):
-                    for dst in owner_shards(ph, cfg.num_phash_shards):
-                        b = routed.setdefault(dst, ([], [], []))
-                        b[0].append(dg)
-                        b[1].append(ph)
-                        b[2].append(k)
-            verdict_refs = {
-                dst: dedup_actors[dst].judge.remote(epoch, b[1], b[2])
-                for dst, b in routed.items()
-            }
-            suppressed_set: set[bytes] = set()
-            for dst, ref in verdict_refs.items():
-                for dg, dup in zip(routed[dst][0], ray.get(ref)):
-                    if dup:
-                        suppressed_set.add(dg)
-            admitted_by_dst: dict[int, list[int]] = {}
-            for digests, phashes, keys in cands:
-                for dg, ph in zip(digests, phashes):
-                    if dg not in suppressed_set:
-                        for dst in owner_shards(ph, cfg.num_phash_shards):
-                            admitted_by_dst.setdefault(dst, []).append(ph)
-            ray.get(
-                [
-                    dedup_actors[dst].commit.remote(epoch, phs)
-                    for dst, phs in admitted_by_dst.items()
-                ]
-            )
-            sup_ref = ray.put(sorted(suppressed_set))
-            finals = ray.get(
-                [
-                    a.gate_finalize_global.remote(epoch, num_shards, sup_ref)
-                    for a in actors
-                ]
-            )
-        else:
-            finals = ray.get(
-                [a.gate_finalize.remote(epoch, num_shards) for a in actors]
-            )
+        # ordered near-dup gate + frontier merge (meta only; candidates,
+        # verdicts and offers travel between actors as object refs, never
+        # materialized on the driver)
+        finals = _gate(actors, dedup_actors, epoch)
         t = _mark("gate", t)
         # dispatch next-epoch offers FIRST, then write this epoch's
         # sidecars while the shard actors chew on the offers — the
@@ -1068,6 +1018,40 @@ def _small_epoch_task(web_cfg, actors, epoch, keep_bytes, batch_size,
         lancelike.write_table_flat(out, out_uri, part=part_base + part)
         written += out.num_rows
     return written
+
+
+def _gate(actors, dedup_actors, epoch: int) -> list[tuple]:
+    """Every host shard's ``gate_finalize`` result for ``epoch``. Without
+    the global near-dup tier each shard judges against its own phash
+    index. With it (frontier/phash_shard.py) the host shards route their
+    candidates to the dedup shards, each dedup shard judges what it got,
+    then commits its own unflagged candidates and returns the flagged
+    digests, which host shard s takes as ``suppressed`` from dedup shard
+    s mod D. Every call is submitted up front on the refs of the one
+    before, so the driver holds only the O(shards²) refs between them
+    and waits once."""
+    sup = [None] * len(actors)
+    done = []
+    if dedup_actors is not None:
+        n = len(dedup_actors)
+        routed = [a.collect_candidates.options(num_returns=n).remote(epoch, n)
+                  for a in actors]
+        if n == 1:
+            routed = [[r] for r in routed]
+        judged = [
+            d.judge.remote(epoch, *(r[i] for r in routed))
+            for i, d in enumerate(dedup_actors)
+        ]
+        done, flagged = zip(*(
+            d.commit.options(num_returns=2).remote(epoch, *judged)
+            for d in dedup_actors
+        ))
+        sup = [flagged[s % n] for s in range(len(actors))]
+    # the commits' counts ride along so a failed commit raises here
+    return ray.get([
+        a.gate_finalize.remote(epoch, len(actors), s)
+        for a, s in zip(actors, sup)
+    ] + list(done))[:len(actors)]
 
 
 def _checkpoint_all(actors, ckpt_dir: str, epoch: int, dedup_actors=None,

@@ -57,7 +57,7 @@ import numpy as np
 import pyarrow.parquet as pq
 
 from ..core.sketches import PhashIndex, SeenSet
-from .shard import FrontierShard
+from .shard import SIDECARS, FrontierShard
 
 
 def _latest_epoch(out_dir: str) -> int:
@@ -175,8 +175,7 @@ def _popped_digest_hosts(root_dir: str, epoch: int) -> dict[bytes, str] | None:
             for dg, u in zip(t["url_hash"].to_pylist(),
                              t["url"].to_pylist()):
                 popped[dg] = host_of(u)
-        for side in ("suppressed", "errors", "redirects",
-                     "not_modified"):
+        for side in SIDECARS:
             for f in _glob.glob(os.path.join(d, side, "epoch=*.parquet")):
                 ep = int(os.path.basename(f).split("=")[1].split(".")[0])
                 if ep > ep_cap:

@@ -7,15 +7,21 @@ optional global tier shards the phash space by 16-bit CHUNK VALUE: each
 distance ≤ 3 shares at least one identical chunk (pigeonhole) — so the
 pair is guaranteed to meet on the shard that owns that shared chunk.
 
-Deterministic two-phase protocol per epoch (driver-coordinated):
+Deterministic protocol per epoch, actor to actor (the driver passes only
+object refs, as for the frontier shards' offers):
 
-  judge  — every dedup shard receives the epoch's candidate
-           (digest, phash) rows routed by chunk ownership, sorts them into
-           GLOBAL frontier order, and walks them: a candidate is ``dup``
-           if within radius of the committed index or of an earlier
-           tentatively-admitted candidate in this walk. No state mutates.
-  (driver ORs verdicts across shards: dup anywhere → suppressed)
-  commit — shards insert only the globally-admitted hashes.
+  route  — every host shard buckets its fetch-ok (digest, phash, order
+           key) rows by chunk ownership (``FrontierShard.
+           collect_candidates``), one task return per dedup shard.
+  judge  — every dedup shard receives its refs, sorts the candidates into
+           GLOBAL frontier order, and walks them: a candidate is a dup if
+           within radius of the committed index or of an earlier
+           tentatively-admitted candidate in this walk. Returns the dup
+           digests; the index does not change.
+  commit — every dedup shard receives ALL shards' judge results and
+           inserts its own received candidates that no shard flagged (dup
+           anywhere → suppressed). It returns the flagged digests, which
+           the host shards' ``gate_finalize`` takes as ``suppressed``.
 
 Because verdicts depend only on (committed state, the globally-ordered
 candidate list), the outcome is independent of task scheduling — the same
@@ -49,40 +55,52 @@ class PhashDedupShard:
         self.num_shards = num_shards
         self.radius = radius
         self.index = PhashIndex(radius)
-        self._judge_memo: dict[int, list[bool]] = {}
-        self._commit_memo: set[int] = set()
+        # epoch → (dup digests, received digests, received phashes)
+        self._judge_memo: dict[int, tuple] = {}
+        self._commit_memo: dict[int, tuple] = {}
 
-    def _owns(self, ph: int) -> bool:
-        return self.shard_id in owner_shards(ph, self.num_shards)
-
-    def judge(self, epoch: int, phashes: list[int], order_keys: list[tuple]) -> list[bool]:
-        """Phase 1: dup verdicts for this epoch's candidates (aligned with
-        the input), processed in global frontier order; read-only."""
+    def judge(self, epoch: int, *candidates) -> list[bytes]:
+        """Phase 1: the digests of this epoch's duplicates among the
+        candidates routed here — one (digests, phashes, order keys) tuple
+        per host shard, in host-shard order — walked in global frontier
+        order. Read-only on the index; the candidates wait for ``commit``."""
         if epoch in self._judge_memo:
-            return self._judge_memo[epoch]
-        order = sorted(range(len(phashes)), key=lambda i: order_keys[i])
+            return self._judge_memo[epoch][0]
+        digests = [d for c in candidates for d in c[0]]
+        phashes = [p for c in candidates for p in c[1]]
+        keys = [k for c in candidates for k in c[2]]
         tentative = PhashIndex(self.radius)
-        verdicts = [False] * len(phashes)
-        for i in order:
+        dups = []
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
             ph = phashes[i]
             if self.index.query(ph) is not None or tentative.query(ph) is not None:
-                verdicts[i] = True
+                dups.append(digests[i])
             else:
                 tentative.add(ph)
-        self._judge_memo[epoch] = verdicts
-        return verdicts
+        self._judge_memo[epoch] = (dups, digests, phashes)
+        return dups
 
-    def commit(self, epoch: int, admitted: list[int]) -> int:
-        """Phase 2: insert the globally-admitted hashes this shard owns."""
+    def commit(self, epoch: int, *judged: list[bytes]) -> tuple[int, list[bytes]]:
+        """Phase 2, given every dedup shard's ``judge`` result: insert the
+        candidates this shard received that no shard flagged, in arrival
+        order. Returns (inserted count, the sorted flagged digests) — the
+        epoch's global verdict, the same on every dedup shard."""
         if epoch in self._commit_memo:
-            return 0
+            return self._commit_memo[epoch]
+        flagged = set().union(*judged)
+        _, digests, phashes = self._judge_memo[epoch]
         n = 0
-        for ph in admitted:
-            if self._owns(ph):
+        for dg, ph in zip(digests, phashes):
+            if dg not in flagged:
                 self.index.add(ph)
                 n += 1
-        self._commit_memo.add(epoch)
-        return n
+        self._commit_memo[epoch] = result = (n, sorted(flagged))
+        # replay horizon as FrontierShard.REPLAY_HORIZON: only the epoch
+        # in flight can be re-run
+        for memo in (self._judge_memo, self._commit_memo):
+            for e in [e for e in memo if e < epoch - 2]:
+                del memo[e]
+        return result
 
     # ---------------------------------------------------------- checkpoint
     def checkpoint(self, ckpt_dir: str, epoch: int) -> None:

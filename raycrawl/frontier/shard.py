@@ -38,6 +38,7 @@ from ..core.politeness import HostPoliteness, RobotsCache
 from ..core.sketches import SeenSet, PhashIndex
 from ..core.urltools import (host_shard_key, netlocs, shard_of_host,
                              trap_reason)
+from .phash_shard import owner_shards
 
 _SHARD_CACHE: dict[tuple, int] = {}
 
@@ -100,6 +101,22 @@ POP_SCHEMA = pa.schema(
         ("discovered_at", pa.int64()),
     ]
 )
+
+
+# The per-epoch (url_hash, host) sidecar trees beside the payload, in the
+# order of their lists in a ``gate_finalize`` result (``result[1:5]``).
+SIDECARS = ("suppressed", "errors", "redirects", "not_modified")
+
+# gate status (the fetch log's) → (metric it counts, sidecar it lands in;
+# None: a payload row)
+_GATE_OUTCOMES = {
+    "redirected": ("redirects_followed", "redirects"),
+    "sitemap": ("sitemap_expanded", "redirects"),
+    "fetch_error": ("fetch_errors", "errors"),
+    "not_modified": ("not_modified", "not_modified"),
+    "dup_suppressed": ("phash_suppressed", "suppressed"),
+    "fetched": ("fetched", None),
+}
 
 
 class FrontierShard:
@@ -501,17 +518,6 @@ class FrontierShard:
         t = self._popped if self._popped is not None else POP_SCHEMA.empty_table()
         return t
 
-    def n_pop_chunks(self, chunk_rows: int) -> int:
-        """Number of ``chunk_rows``-sized slices of the current pop table.
-        The driver turns each slice into one Ray Data block, so fetch
-        parallelism is (total popped / chunk_rows), not num_shards."""
-        n = self._popped.num_rows if self._popped is not None else 0
-        return (n + chunk_rows - 1) // chunk_rows
-
-    def take_popped_chunk(self, j: int, chunk_rows: int) -> pa.Table:
-        t = self.take_popped()
-        return t.slice(j * chunk_rows, chunk_rows)
-
     def take_popped_part(self, j: int, n_parts: int) -> pa.Table:
         """Equal-size partition ``j`` of ``n_parts`` of the pop table (±1
         row). Equal slices — unlike fixed-size chunks with a small
@@ -539,9 +545,11 @@ class FrontierShard:
     #     tiny data, idempotent by digest (task replay re-submits identical
     #     content), arrival order irrelevant;
     #   * after the pipeline the driver calls ``gate_finalize`` ONCE: rows
-    #     are sorted into frontier order, the phash Hamming gate runs, and
-    #     the surviving rows' outlinks are bucketed by target shard and
-    #     returned (the driver routes them to peers' pending buffers).
+    #     are sorted into frontier order, the near-dup gate runs (this
+    #     shard's phash index, or the global tier's verdict passed in as
+    #     ``suppressed``), and the surviving rows' outlinks are bucketed by
+    #     target shard and returned as refs (the driver routes them to
+    #     peers' pending buffers).
     # Payload bytes never pass through the gate — the pipeline writes them
     # straight to the epoch's parquet; near-dup rows are filtered at read
     # time via the (tiny) suppressed-digest sidecar the driver persists.
@@ -558,11 +566,17 @@ class FrontierShard:
             buf[d] = (p, m, ls)
         return len(buf)
 
-    def gate_finalize(self, epoch: int, num_shards: int):
-        """Run the ordered phash gate over this epoch's submitted rows.
+    def gate_finalize(self, epoch: int, num_shards: int, suppressed=None):
+        """Run the ordered near-dup gate over this epoch's submitted rows.
 
-        Returns (kept_count, suppressed, errors, {dst_shard: offer_ref})
-        where suppressed/errors/redirects entries are (digest, host) pairs
+        ``suppressed=None`` judges each fetched row against this shard's
+        own phash index (near-dup of an earlier kept row → suppressed).
+        A collection of digests is the global tier's verdict instead
+        (frontier/phash_shard.py): exactly those rows are suppressed, and
+        ``self.phash`` is not touched.
+
+        Returns (kept_count, *sidecar lists, {dst_shard: offer_ref}): one
+        list of (digest, host) pairs per ``SIDECARS`` entry, in that order
         — the host rides along so the driver's sidecars can attribute each
         non-payload pop to its host (checkpoint-merge rebuilds exact
         per-host quota spend from the sidecars) — and an offer payload is
@@ -570,14 +584,12 @@ class FrontierShard:
         route to ``offer_packed`` on each target shard."""
         if epoch in self._gate_memo:
             return self._gate_memo[epoch]
+        sup = None if suppressed is None else set(suppressed)
         buf = self._gate_buf.pop(epoch, {})
         order = sorted(
             buf.items(), key=lambda kv: (-kv[1][1][2], kv[1][1][3], kv[1][1][4], kv[0])
         )
-        suppressed: list[tuple[bytes, str]] = []
-        errors: list[tuple[bytes, str]] = []
-        redirs: list[tuple[bytes, str]] = []
-        notmods: list[tuple[bytes, str]] = []
+        sides: dict[str, list[tuple[bytes, str]]] = {s: [] for s in SIDECARS}
         best: dict[str, tuple] = {}  # canonical url → (digest,host,pri,min depth)
         kept = 0
         for digest, (ph, m, ls) in order:
@@ -591,42 +603,18 @@ class FrontierShard:
                     buf_rows.append((digest, url, lu, ld))
                 if rd is not None:  # 301 edge: alias -> target
                     buf_rows.append((digest, url, rd[0], rd[1]))
+            # ls becomes the (url, digest, host, priority) links this row
+            # offers, each at depth nd
+            nd = depth + 1
             if rd is not None:  # 301 alias: follow target at SAME depth
-                self.host_consec_errors.pop(host, None)  # HTTP succeeded
-                self.metrics["redirects_followed"] += 1
-                self._log_append(epoch, url, digest, host, pri, depth, disc,
-                                 "redirected")
-                redirs.append((digest, host))
-                lu, ld, lh, lp = rd
-                cur = best.get(lu)
-                if cur is None or depth < cur[3]:
-                    best[lu] = (ld, lh, lp, depth)
-                continue
-            if sm:  # sitemap manifest: expansion at the SITEMAP'S depth,
+                status, ls, nd = "redirected", [rd], depth
+            elif sm:  # sitemap manifest: expansion at the SITEMAP'S depth,
                 # no payload, no phash entry; pop recorded in the
                 # redirects sidecar (same no-payload alias-style class)
-                self.host_consec_errors.pop(host, None)
-                self.metrics["sitemap_expanded"] += 1
-                self._log_append(epoch, url, digest, host, pri, depth, disc,
-                                 "sitemap")
-                redirs.append((digest, host))
-                for lu, ld, lh, lp in ls:
-                    cur = best.get(lu)
-                    if cur is None or depth < cur[3]:
-                        best[lu] = (ld, lh, lp, depth)
-                continue
-            if ph is None:  # dead-letter: fetch failed (4xx/timeout analog)
-                self.metrics["fetch_errors"] += 1
-                self._log_append(epoch, url, digest, host, pri, depth, disc,
-                                 "fetch_error")
-                self.host_consec_errors[host] = (
-                    self.host_consec_errors.get(host, 0) + 1
-                )
-                errors.append((digest, host))
-                continue
-            self.host_consec_errors.pop(host, None)
-            if (etag is not None
-                    and self.etags.get(digest) == etag):
+                status, nd = "sitemap", depth
+            elif ph is None:  # dead-letter: fetch failed (4xx/timeout analog)
+                status, ls = "fetch_error", ()
+            elif etag is not None and self.etags.get(digest) == etag:
                 # 304 analog: content identical to the previous generation
                 # — token spent, NO payload row (the old generation's row
                 # is authoritative), no phash-index entry — but the link
@@ -634,49 +622,42 @@ class FrontierShard:
                 # web through its unmodified pages (in production the
                 # outlinks come from the stored previous-generation link
                 # log; the synthetic fetch has the body anyway)
-                self.metrics["not_modified"] += 1
-                self._log_append(epoch, url, digest, host, pri, depth, disc,
-                                 "not_modified")
-                notmods.append((digest, host))
-                for lu, ld, lh, lp in ls:
-                    nd = depth + 1
-                    cur = best.get(lu)
-                    if cur is None or nd < cur[3]:
-                        best[lu] = (ld, lh, lp, nd)
-                continue
-            if self.phash.query(ph) is not None:
-                self.metrics["phash_suppressed"] += 1
-                self._log_append(epoch, url, digest, host, pri, depth, disc,
-                                 "dup_suppressed")
-                suppressed.append((digest, host))
-                continue
-            self.phash.add(ph)
-            self.metrics["fetched"] += 1
-            kept += 1
-            self._log_append(epoch, url, digest, host, pri, depth, disc, "fetched")
-            for lu, ld, lh, lp in ls:  # (url, digest, host, priority)
-                nd = depth + 1
+                status = "not_modified"
+            elif (self.phash.query(ph) is not None if sup is None
+                  else digest in sup):
+                status, ls = "dup_suppressed", ()
+            else:
+                status = "fetched"
+                kept += 1
+                if sup is None:
+                    self.phash.add(ph)
+            metric, side = _GATE_OUTCOMES[status]
+            self.metrics[metric] += 1
+            self._log_append(epoch, url, digest, host, pri, depth, disc, status)
+            if side is not None:
+                sides[side].append((digest, host))
+            if status == "fetch_error":
+                self.host_consec_errors[host] = (
+                    self.host_consec_errors.get(host, 0) + 1
+                )
+            else:  # the HTTP fetch succeeded
+                self.host_consec_errors.pop(host, None)
+            for lu, ld, lh, lp in ls:
                 cur = best.get(lu)
                 if cur is None or nd < cur[3]:
                     best[lu] = (ld, lh, lp, nd)
-        offers: dict[int, tuple] = {}
         by_dst: dict[int, list[str]] = {}
         for u in sorted(best):
             dst = _shard_of_host_cached(best[u][1], num_shards)
             by_dst.setdefault(dst, []).append(u)
-        for dst, urls in by_dst.items():
-            payload = (
-                urls,
-                [best[u][0] for u in urls],
-                [best[u][1] for u in urls],
-                [best[u][2] for u in urls],
-                [best[u][3] for u in urls],
-            )
-            # offers travel as object refs: the driver routes only the ref;
-            # the data moves store-to-store when the target actor receives
-            # it as a (top-level, auto-dereferenced) task argument
-            offers[dst] = _put_offer(payload)
-        result = (kept, suppressed, errors, redirs, notmods, offers)
+        # offers travel as object refs: the driver routes only the ref; the
+        # data moves store-to-store when the target actor receives it as a
+        # (top-level, auto-dereferenced) task argument
+        offers = {
+            dst: _put_offer((urls, *map(list, zip(*(best[u] for u in urls)))))
+            for dst, urls in by_dst.items()
+        }
+        result = (kept, *sides.values(), offers)
         self._gate_memo[epoch] = result
         self._evict_stale(epoch)
         return result
@@ -721,125 +702,25 @@ class FrontierShard:
             pending=len(self.pending),
         )
 
-    # ----------------------------------------- global-dedup-mode variants
-    def collect_candidates(self, epoch: int):
-        """Global-phash mode, phase 0: this epoch's fetch-ok candidate
-        (digest, phash, order_key) rows — read-only; the buffer stays put
-        until ``gate_finalize_global``."""
-        buf = self._gate_buf.get(epoch, {})
-        digests, phashes, keys = [], [], []
-        for digest, (ph, m, _ls) in buf.items():
+    def collect_candidates(self, epoch: int, num_dedup_shards: int):
+        """Global near-dup tier, routing step: this epoch's fetch-ok rows
+        as one (digests, phashes, order keys) bucket per dedup shard, each
+        row in the bucket of every dedup shard that owns one of its
+        phash's chunks (``owner_shards``). The driver calls it with
+        ``num_returns=num_dedup_shards``, so each bucket is its own object
+        that goes to its dedup shard's ``judge`` unread (one bucket is
+        returned bare: ``num_returns=1`` keeps a return whole). Read-only:
+        the buffer stays put until ``gate_finalize``."""
+        routed = [([], [], []) for _ in range(num_dedup_shards)]
+        for digest, (ph, m, _ls) in self._gate_buf.get(epoch, {}).items():
             if ph is None:
                 continue  # fetch errors never reach the dedup tier
-            digests.append(digest)
-            phashes.append(ph)
-            keys.append((-m[2], m[3], m[4], digest))
-        return digests, phashes, keys
-
-    def gate_finalize_global(self, epoch: int, num_shards: int, suppressed_digests):
-        """Global-phash mode, phase 3: apply the tier's verdicts. Same
-        return shape as ``gate_finalize``; the phash state lives in the
-        dedup shards, not here."""
-        if epoch in self._gate_memo:
-            return self._gate_memo[epoch]
-        sup = set(suppressed_digests)
-        buf = self._gate_buf.pop(epoch, {})
-        order = sorted(
-            buf.items(), key=lambda kv: (-kv[1][1][2], kv[1][1][3], kv[1][1][4], kv[0])
-        )
-        suppressed: list[tuple[bytes, str]] = []
-        errors: list[tuple[bytes, str]] = []
-        redirs: list[tuple[bytes, str]] = []
-        notmods: list[tuple[bytes, str]] = []
-        best: dict[str, tuple] = {}
-        kept = 0
-        for digest, (ph, m, ls) in order:
-            url, host, pri, depth, disc, *rest = m
-            rd = rest[0] if rest else None  # 5-tuple metas: no redirect
-            etag = rest[1] if len(rest) > 1 else None
-            sm = rest[2] if len(rest) > 2 else False  # sitemap manifest
-            if self.link_log and (ph is not None or rd is not None or sm):
-                buf_rows = self._link_rows.setdefault(epoch, [])
-                for lu, ld, _lh, _lp in ls:
-                    buf_rows.append((digest, url, lu, ld))
-                if rd is not None:  # 301 edge: alias -> target
-                    buf_rows.append((digest, url, rd[0], rd[1]))
-            if rd is not None:  # 301 alias: follow target at SAME depth
-                self.host_consec_errors.pop(host, None)
-                self.metrics["redirects_followed"] += 1
-                self._log_append(epoch, url, digest, host, pri, depth, disc,
-                                 "redirected")
-                redirs.append((digest, host))
-                lu, ld, lh, lp = rd
-                cur = best.get(lu)
-                if cur is None or depth < cur[3]:
-                    best[lu] = (ld, lh, lp, depth)
-                continue
-            if sm:  # sitemap manifest (see gate_finalize)
-                self.host_consec_errors.pop(host, None)
-                self.metrics["sitemap_expanded"] += 1
-                self._log_append(epoch, url, digest, host, pri, depth, disc,
-                                 "sitemap")
-                redirs.append((digest, host))
-                for lu, ld, lh, lp in ls:
-                    cur = best.get(lu)
-                    if cur is None or depth < cur[3]:
-                        best[lu] = (ld, lh, lp, depth)
-                continue
-            if ph is None:
-                self.metrics["fetch_errors"] += 1
-                self._log_append(epoch, url, digest, host, pri, depth, disc,
-                                 "fetch_error")
-                self.host_consec_errors[host] = (
-                    self.host_consec_errors.get(host, 0) + 1
-                )
-                errors.append((digest, host))
-                continue
-            self.host_consec_errors.pop(host, None)
-            if (etag is not None
-                    and self.etags.get(digest) == etag):
-                self.metrics["not_modified"] += 1
-                self._log_append(epoch, url, digest, host, pri, depth, disc,
-                                 "not_modified")
-                notmods.append((digest, host))
-                for lu, ld, lh, lp in ls:
-                    nd = depth + 1
-                    cur = best.get(lu)
-                    if cur is None or nd < cur[3]:
-                        best[lu] = (ld, lh, lp, nd)
-                continue
-            if digest in sup:
-                self.metrics["phash_suppressed"] += 1
-                self._log_append(epoch, url, digest, host, pri, depth, disc,
-                                 "dup_suppressed")
-                suppressed.append((digest, host))
-                continue
-            self.metrics["fetched"] += 1
-            kept += 1
-            self._log_append(epoch, url, digest, host, pri, depth, disc, "fetched")
-            for lu, ld, lh, lp in ls:
-                nd = depth + 1
-                cur = best.get(lu)
-                if cur is None or nd < cur[3]:
-                    best[lu] = (ld, lh, lp, nd)
-        offers: dict[int, tuple] = {}
-        by_dst: dict[int, list[str]] = {}
-        for u in sorted(best):
-            dst = _shard_of_host_cached(best[u][1], num_shards)
-            by_dst.setdefault(dst, []).append(u)
-        for dst, urls in by_dst.items():
-            payload = (
-                urls,
-                [best[u][0] for u in urls],
-                [best[u][1] for u in urls],
-                [best[u][2] for u in urls],
-                [best[u][3] for u in urls],
-            )
-            offers[dst] = _put_offer(payload)
-        result = (kept, suppressed, errors, redirs, notmods, offers)
-        self._gate_memo[epoch] = result
-        self._evict_stale(epoch)
-        return result
+            for dst in owner_shards(ph, num_dedup_shards):
+                b = routed[dst]
+                b[0].append(digest)
+                b[1].append(ph)
+                b[2].append((-m[2], m[3], m[4], digest))
+        return routed if num_dedup_shards > 1 else routed[0]
 
     def _logrow(self, epoch, url, digest, host, pri, depth, disc, status) -> dict:
         return dict(

@@ -181,6 +181,63 @@ def test_global_phash_dedup_parity_and_cross_host(ray_session, tmp_path):
     assert any(r["url"] not in local_sup for r in xhost_sup)
 
 
+def test_global_dedup_driver_gets_no_candidates(ray_session, tmp_path,
+                                                monkeypatch):
+    """The global tier's candidates and verdicts travel actor to actor:
+    nothing the crawl driver ``ray.get``s holds a phash or an order-key
+    candidate row, and the crawl still matches the oracle."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    import raycrawl.crawler as crawler
+
+    got = []
+    real_get = crawler.ray.get
+
+    def spy(*args, **kwargs):
+        out = real_get(*args, **kwargs)
+        got.append(out)
+        return out
+
+    monkeypatch.setattr(crawler.ray, "get", spy)
+    web = WebConfig(n_hosts=6, pages_per_host=10, cross_host_dup=True)
+    cfg = crawler.CrawlConfig(
+        web=web, out_dir=str(tmp_path / "g"), num_shards=4, max_epochs=40,
+        global_phash_dedup=True, num_phash_shards=3,
+    )
+    stats = crawler.run_crawl(cfg, seed_urls(web))
+    monkeypatch.undo()
+    assert sum(m["phash_suppressed"] for m in stats.metrics) > 0
+    # every candidate's phash: the raw payload parts keep suppressed rows
+    phashes = {
+        ph for f in glob.glob(str(tmp_path / "g" / "payload" / "*" / "*"))
+        for ph in pq.read_table(f, columns=["phash"])["phash"].to_pylist()
+        if abs(ph) >= 1 << 16  # never mistaken for a count
+    }
+    assert phashes
+
+    def walk(v):
+        if isinstance(v, dict):
+            v = [*v.keys(), *v.values()]
+        if isinstance(v, (list, tuple, set, frozenset)):
+            is_key = (len(v) == 4 and isinstance(v, tuple)
+                      and isinstance(v[3], bytes))
+            assert not is_key, f"driver got an order key {v!r}"
+            for x in v:
+                walk(x)
+        elif isinstance(v, int):
+            assert v not in phashes, f"driver got phash {v}"
+
+    assert got
+    for v in got:
+        walk(v)
+    o = oracle_crawl(web, seed_urls(web), max_epochs=40, num_shards=4,
+                     global_phash_dedup=True, num_phash_shards=3)
+    assert [o.metrics[s]["phash_suppressed"] for s in range(4)] == [
+        m["phash_suppressed"] for m in stats.metrics]
+
+
 def test_parity_with_frontier_spill(ray_session, tmp_path):
     """External frontier queue (per-host heap capped at 4 items, rest in
     parquet spill segments): crawl ordering parity must be unaffected."""

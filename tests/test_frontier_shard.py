@@ -75,7 +75,18 @@ def test_pop_ordering_and_politeness():
     assert s.frontier_size() == 12
 
 
-def test_gate_submit_finalize():
+def _deref(x):
+    try:
+        import ray
+
+        if isinstance(x, ray.ObjectRef):
+            return ray.get(x)
+    except ImportError:
+        pass
+    return x
+
+
+def _gate_case(suppressed=None):
     s = FrontierShard(0)
     digests = [bytes([i]) * 20 for i in range(3)]
     phashes = [0, 1, 0x0F0F0F0F0F0F0F0F]  # 0↔1 near-dups; third is distance 32
@@ -85,29 +96,30 @@ def test_gate_submit_finalize():
     s.gate_submit(0, digests[1:], phashes[1:], meta[1:], links[1:])
     s.gate_submit(0, digests[:1], phashes[:1], meta[:1], links[:1])
     s.gate_submit(0, digests[1:2], phashes[1:2], meta[1:2], links[1:2])
-    kept, suppressed, errors, redirs, notmods, offers = s.gate_finalize(
-        0, num_shards=4)
+    result = s.gate_finalize(0, num_shards=4, suppressed=suppressed)
+    kept, sup, errors, redirs, notmods, offers = result
     assert kept == 2
     # ordered gate: digest 0 wins, 1 near-dup; host rides along for sidecars
-    assert suppressed == [(digests[1], "h1.web.test")]
+    assert sup == [(digests[1], "h1.web.test")]
     assert s.metrics["phash_suppressed"] == 1
     # surviving row 2's outlink routed to its host shard
-    def _deref(x):
-        try:
-            import ray
-
-            if isinstance(x, ray.ObjectRef):
-                return ray.get(x)
-        except ImportError:
-            pass
-        return x
-
     (dst, packed), = offers.items()
     urls, digs, hosts, pris, depths = _deref(packed)
     assert urls == ["http://h2.web.test/p/9"] and depths == [1]
     # replay-safe: second finalize returns the memoized result
-    assert s.gate_finalize(0, num_shards=4) == (kept, suppressed, errors,
-                                                  redirs, notmods, offers)
+    assert s.gate_finalize(0, num_shards=4, suppressed=suppressed) == result
+    return s, (*result[:5], {d: _deref(r) for d, r in offers.items()})
+
+
+def test_gate_submit_finalize():
+    s, result = _gate_case()
+    # the global tier's verdict (the digests the per-shard index
+    # suppressed) walks the same gate: same result, metrics and log, and
+    # the shard's own phash index stays empty
+    g, g_result = _gate_case(suppressed=[d for d, _h in result[1]])
+    assert g_result == result
+    assert g.metrics == s.metrics and g.log == s.log
+    assert s.phash.hashes and not g.phash.hashes
 
 
 def test_checkpoint_restore_roundtrip(tmp_path):
