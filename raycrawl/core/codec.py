@@ -143,26 +143,25 @@ _DCT = _dct_matrix(_N)
 
 
 def _resize_gray(pixels: np.ndarray) -> np.ndarray:
-    """Nearest-neighbour resize of the grayscale image to 32×32."""
-    gray = pixels.astype(np.float32).mean(axis=-1)
-    h, w = gray.shape
-    yi = (np.arange(_N) * h // _N).clip(0, h - 1)
-    xi = (np.arange(_N) * w // _N).clip(0, w - 1)
-    return gray[np.ix_(yi, xi)]
+    """Nearest-neighbour resize of the grayscale image to 32×32. The grid
+    is sampled from the uint8 pixels before the grey-scale: the mean of a
+    pixel's three channels does not depend on its neighbours, so this
+    gives the same float32 values as grey-scaling the whole image first,
+    at 1,024 pixels' cost instead of h × w. Row and column indices
+    i * side // 32 stay below side, so they need no clip."""
+    h, w = pixels.shape[:2]
+    rows = pixels[np.arange(_N) * h // _N]
+    return rows[:, np.arange(_N) * w // _N].astype(np.float32).mean(axis=-1)
 
 
 def phash64(pixels: np.ndarray) -> int:
     """64-bit DCT perceptual hash (signed int64 for Arrow friendliness)."""
     g = _resize_gray(pixels)
     d = _DCT @ g @ _DCT.T
-    block = d[:8, :8].flatten()
-    block = np.delete(block, 0)  # drop DC term
-    med = np.median(block)
-    bits = block > med
-    out = 0
-    for bit in bits:
-        out = (out << 1) | int(bit)
-    out <<= 1  # pad to 64 bits
+    block = d[:8, :8].ravel()[1:]  # drop DC term
+    bits = block > np.partition(block, 31)[31]  # the median of 63 values
+    # 63 bits, most significant first, padded with a 0 bit to 64
+    out = int.from_bytes(np.packbits(bits).tobytes(), "big")
     return out - (1 << 64) if out >= (1 << 63) else out
 
 

@@ -65,6 +65,7 @@ import os
 import shutil
 import threading
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -98,9 +99,9 @@ class CrawlConfig:
     shard_num_cpus: float = 0.0
     keep_bytes_in_payload: bool = True
     burst: float = 8.0  # politeness burst (tokens) per host
-    # Ray Data blocks per CPU slot per epoch: 1 = one perfectly-packed
-    # wave of equal tasks (lowest overhead); 2-4 = finer granularity that
-    # rides out noisy-neighbor slowdowns at ~8 ms/task extra cost
+    # fetch blocks per CPU slot per epoch, cut evenly over all shards'
+    # pops (_cut_epoch): 1 = one wave of equal tasks; 2 = finer blocks,
+    # measured slower on the crawl_media benchmark (DESIGN §5)
     blocks_per_cpu: int = 1
     # per-row fetch log (parity/lineage detail). True keeps rows in actor
     # memory and flushes increments at each checkpoint; False records only
@@ -655,35 +656,25 @@ def _crawl(cfg: CrawlConfig, seeds: list[str], start_epoch: int,
             epoch += 1  # throttled / idle epoch; refill and retry
             continue
 
-        # ONE linear, shuffle-free pipeline per epoch. Each shard's pop
-        # table is sliced into chunks — one Ray Data block each — so fetch
-        # parallelism is (popped rows / chunk), independent of shard count.
-        # Chunk size adapts to the epoch: ONE block per CPU slot (measured
-        # optimum — 2-4 blocks/cpu pays ~8 ms/task overhead with no
-        # straggler benefit, while a fixed small cap quantizes the epoch
-        # into waves whose last wave runs nearly empty). The cap bounds
+        # ONE linear, shuffle-free pipeline per epoch. The epoch's popped
+        # rows, all shards' pop tables end to end, are cut into equal
+        # blocks (±1 row) from the pop counts already in hand (no extra RPC
+        # round), so fetch parallelism is independent of shard count and
+        # of the host skew between shards: a block may span shards. ONE
+        # block per CPU slot (measured: 2 blocks/cpu made crawl_media
+        # passes slower, and a fixed small cap quantizes the epoch into
+        # waves whose last wave runs nearly empty). The cap bounds
         # per-task heap: with payload bytes in flight a block stays ≤ ~256
         # rows (≈ 35 MB at 130 KB/row); metadata-only runs allow larger
         # blocks. Decode tasks stream (digest, phash, outlinks) meta to
         # the shard actors (gate_submit, tiny + idempotent); payload bytes
         # flow straight to parquet without ever crossing a shuffle.
         ncpu = int(ray.cluster_resources().get("CPU", 8))
-        block_cap = 256 if keep_bytes else 4096
         total = sum(counts)
-        target = max(
-            4, min(block_cap, -(-total // (ncpu * cfg.blocks_per_cpu)))
-        )
-        # per-shard part counts from the pop counts already in hand (no
-        # extra RPC round); every part is an equal slice of its shard
-        parts = [
-            min(c, max(1, round(c / target), -(-c // block_cap))) if c else 0
-            for c in counts
-        ]
-        refs = [
-            a.take_popped_part.remote(j, p)
-            for a, p in zip(actors, parts)
-            for j in range(p)
-        ]
+        cut = _cut_epoch(counts, ncpu * cfg.blocks_per_cpu,
+                         256 if keep_bytes else 4096)
+        pieces = [[actors[s].take_popped_rows.remote(lo, hi)
+                   for s, lo, hi in blk] for blk in cut]
         t = _mark("chunks", t)
         small_max = cfg.small_epoch_max_rows
         if small_max is None:
@@ -699,9 +690,9 @@ def _crawl(cfg: CrawlConfig, seeds: list[str], start_epoch: int,
             # before returning, so gate_finalize still sees every offer;
             # a per-block part base keeps the payload writers apart.
             if total <= small_max:
-                branch, blocks = "single_task", [refs]
+                branch, blocks = "single_task", [sum(pieces, [])]
             else:
-                branch, blocks = "chunk_tasks", [[r] for r in refs]
+                branch, blocks = "chunk_tasks", pieces
             ray.get([
                 _small_epoch_task.remote(
                     cfg.web, actors, epoch, keep_bytes, cfg.batch_size,
@@ -718,8 +709,11 @@ def _crawl(cfg: CrawlConfig, seeds: list[str], start_epoch: int,
                 "task(s), no Ray Data pipeline)"
             )
         else:
-            branch, blocks = "dataset", refs
-            ds = ray.data.from_arrow_refs(refs)
+            # one ref per block: a block that spans shards is joined by a
+            # zero-CPU task, store to store, never on the driver
+            blocks = [p[0] if len(p) == 1 else _concat_tables.remote(*p)
+                      for p in pieces]
+            branch, ds = "dataset", ray.data.from_arrow_refs(blocks)
             # One task per block, all launched at once. batch_size=None
             # stops Ray Data from bundling a block smaller than the batch
             # into its neighbour; the UDF slices to ≤ batch_size rows
@@ -730,7 +724,7 @@ def _crawl(cfg: CrawlConfig, seeds: list[str], start_epoch: int,
             # single slices, whose raw pixels bound their bytes, so that
             # is the size given — on this dataset's own context copy, so
             # the global DataContext the query ops share is untouched.
-            block_rows = max(-(-c // p) for c, p in zip(counts, parts) if p)
+            block_rows = -(-total // len(cut))  # the largest block's rows
             row_bytes = 1024 + (3 * cfg.web.max_dim ** 2 if keep_bytes else 0)
             ds.context.target_max_block_size = (
                 min(block_rows, cfg.batch_size) * row_bytes)
@@ -971,6 +965,34 @@ def _make_decode_submit(actors, epoch: int, keep_bytes: bool,
     return decode_submit
 
 
+def _cut_epoch(counts: list[int], slots: int,
+               block_cap: int) -> list[list[tuple[int, int, int]]]:
+    """An epoch's blocks from its per-shard pop counts. The popped rows,
+    shard 0's pop table then shard 1's and so on, are cut into
+    k = ceil(total / target) blocks of near-equal size (±1 row), where
+    target = ceil(total / slots) rows, at least 4 and at most
+    ``block_cap``: one block per slot, fewer for a tiny epoch, more only
+    when the cap binds. Each block is a list of (shard, lo, hi) ranges
+    of the shards' pop tables; a block may span shards, and an empty
+    shard is in no block."""
+    total = sum(counts)
+    target = max(4, min(block_cap, -(-total // slots)))
+    k = -(-total // target)
+    cuts = [total * j // k for j in range(k + 1)]
+    starts = [0, *accumulate(counts)]
+    return [
+        [(s, max(lo, a) - a, min(hi, b) - a)
+         for s, (a, b) in enumerate(zip(starts, starts[1:]))
+         if max(lo, a) < min(hi, b)]
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+
+
+@ray.remote(num_cpus=0)
+def _concat_tables(*tables: pa.Table) -> pa.Table:
+    return pa.concat_tables(tables)
+
+
 def _slices(tbl: pa.Table, max_rows: int) -> list[pa.Table]:
     """``tbl`` cut into ceil(rows / max_rows) slices of near-equal size,
     none over ``max_rows``: a 17-row block under a 16-row cap runs as 9 + 8
@@ -1025,12 +1047,13 @@ def _gate(actors, dedup_actors, epoch: int) -> list[tuple]:
     the global near-dup tier each shard judges against its own phash
     index. With it (frontier/phash_shard.py) the host shards route their
     candidates to the dedup shards, each dedup shard judges what it got,
-    then commits its own unflagged candidates and returns the flagged
-    digests, which host shard s takes as ``suppressed`` from dedup shard
-    s mod D. Every call is submitted up front on the refs of the one
-    before, so the driver holds only the O(shards²) refs between them
-    and waits once."""
-    sup = [None] * len(actors)
+    then commits its own unflagged candidates and returns one flagged
+    list per host shard, so host shard s takes as ``suppressed`` its own
+    list from every dedup shard and each flagged digest travels once.
+    Every call is submitted up front on the refs of the one before, so
+    the driver holds only the O(shards²) refs between them and waits
+    once."""
+    sup = [()] * len(actors)
     done = []
     if dedup_actors is not None:
         n = len(dedup_actors)
@@ -1042,14 +1065,14 @@ def _gate(actors, dedup_actors, epoch: int) -> list[tuple]:
             d.judge.remote(epoch, *(r[i] for r in routed))
             for i, d in enumerate(dedup_actors)
         ]
-        done, flagged = zip(*(
-            d.commit.options(num_returns=2).remote(epoch, *judged)
+        done, *sup = zip(*(
+            d.commit.options(num_returns=1 + len(actors)).remote(
+                epoch, *judged)
             for d in dedup_actors
         ))
-        sup = [flagged[s % n] for s in range(len(actors))]
     # the commits' counts ride along so a failed commit raises here
     return ray.get([
-        a.gate_finalize.remote(epoch, len(actors), s)
+        a.gate_finalize.remote(epoch, len(actors), *s)
         for a, s in zip(actors, sup)
     ] + list(done))[:len(actors)]
 

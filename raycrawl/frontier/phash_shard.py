@@ -20,8 +20,12 @@ object refs, as for the frontier shards' offers):
            digests; the index does not change.
   commit — every dedup shard receives ALL shards' judge results and
            inserts its own received candidates that no shard flagged (dup
-           anywhere → suppressed). It returns the flagged digests, which
-           the host shards' ``gate_finalize`` takes as ``suppressed``.
+           anywhere → suppressed). It returns one list of flagged digests
+           per host shard, holding each flagged candidate it received from
+           that host shard and is the lowest owner of, so each flagged
+           digest is delivered once; host shard s's ``gate_finalize``
+           takes the union of its lists from every dedup shard as
+           ``suppressed``.
 
 Because verdicts depend only on (committed state, the globally-ordered
 candidate list), the outcome is independent of task scheduling — the same
@@ -55,7 +59,8 @@ class PhashDedupShard:
         self.num_shards = num_shards
         self.radius = radius
         self.index = PhashIndex(radius)
-        # epoch → (dup digests, received digests, received phashes)
+        # epoch → (dup digests, received digests, received phashes,
+        # their host shards, host shard count)
         self._judge_memo: dict[int, tuple] = {}
         self._commit_memo: dict[int, tuple] = {}
 
@@ -63,12 +68,14 @@ class PhashDedupShard:
         """Phase 1: the digests of this epoch's duplicates among the
         candidates routed here — one (digests, phashes, order keys) tuple
         per host shard, in host-shard order — walked in global frontier
-        order. Read-only on the index; the candidates wait for ``commit``."""
+        order. Read-only on the index; the candidates wait for ``commit``,
+        each with its host shard (its argument's position)."""
         if epoch in self._judge_memo:
             return self._judge_memo[epoch][0]
         digests = [d for c in candidates for d in c[0]]
         phashes = [p for c in candidates for p in c[1]]
         keys = [k for c in candidates for k in c[2]]
+        sources = [s for s, c in enumerate(candidates) for _ in c[0]]
         tentative = PhashIndex(self.radius)
         dups = []
         for i in sorted(range(len(keys)), key=keys.__getitem__):
@@ -77,24 +84,31 @@ class PhashDedupShard:
                 dups.append(digests[i])
             else:
                 tentative.add(ph)
-        self._judge_memo[epoch] = (dups, digests, phashes)
+        self._judge_memo[epoch] = (dups, digests, phashes, sources,
+                                   len(candidates))
         return dups
 
-    def commit(self, epoch: int, *judged: list[bytes]) -> tuple[int, list[bytes]]:
+    def commit(self, epoch: int, *judged: list[bytes]) -> tuple:
         """Phase 2, given every dedup shard's ``judge`` result: insert the
         candidates this shard received that no shard flagged, in arrival
-        order. Returns (inserted count, the sorted flagged digests) — the
-        epoch's global verdict, the same on every dedup shard."""
+        order. Returns (inserted count, then one sorted list per host
+        shard): list s holds the flagged candidates this shard received
+        from host shard s and is the lowest owner of. Every owner of a
+        flagged candidate received it, so across the dedup shards each
+        flagged digest is delivered once, to its own host shard."""
         if epoch in self._commit_memo:
             return self._commit_memo[epoch]
         flagged = set().union(*judged)
-        _, digests, phashes = self._judge_memo[epoch]
+        _, digests, phashes, sources, n_hosts = self._judge_memo[epoch]
         n = 0
-        for dg, ph in zip(digests, phashes):
+        mine: list[list[bytes]] = [[] for _ in range(n_hosts)]
+        for dg, ph, s in zip(digests, phashes, sources):
             if dg not in flagged:
                 self.index.add(ph)
                 n += 1
-        self._commit_memo[epoch] = result = (n, sorted(flagged))
+            elif min(owner_shards(ph, self.num_shards)) == self.shard_id:
+                mine[s].append(dg)
+        self._commit_memo[epoch] = result = (n, *map(sorted, mine))
         # replay horizon as FrontierShard.REPLAY_HORIZON: only the epoch
         # in flight can be re-run
         for memo in (self._judge_memo, self._commit_memo):

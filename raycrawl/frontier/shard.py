@@ -518,16 +518,18 @@ class FrontierShard:
         t = self._popped if self._popped is not None else POP_SCHEMA.empty_table()
         return t
 
+    def take_popped_rows(self, lo: int, hi: int) -> pa.Table:
+        """Rows [lo, hi) of the pop table: this shard's share of one fetch
+        block. The crawler cuts an epoch's blocks over all shards' pops
+        (``crawler._cut_epoch``), so a block may hold ranges of several
+        shards."""
+        return self.take_popped().slice(lo, hi - lo)
+
     def take_popped_part(self, j: int, n_parts: int) -> pa.Table:
-        """Equal-size partition ``j`` of ``n_parts`` of the pop table (±1
-        row). Equal slices — unlike fixed-size chunks with a small
-        remainder block — keep every Ray Data task the same weight, so an
-        epoch wave has no built-in straggler."""
-        t = self.take_popped()
-        n = t.num_rows
-        lo = (n * j) // n_parts
-        hi = (n * (j + 1)) // n_parts
-        return t.slice(lo, hi - lo)
+        """Part ``j`` of ``n_parts`` near-equal parts (±1 row) of this
+        shard's pop table alone."""
+        n = self.take_popped().num_rows
+        return self.take_popped_rows(n * j // n_parts, n * (j + 1) // n_parts)
 
     def frontier_size(self) -> int:
         n = sum(len(q) for q in self.host_q.values()) + len(self.pending)
@@ -566,14 +568,16 @@ class FrontierShard:
             buf[d] = (p, m, ls)
         return len(buf)
 
-    def gate_finalize(self, epoch: int, num_shards: int, suppressed=None):
+    def gate_finalize(self, epoch: int, num_shards: int, suppressed=None,
+                      *more_suppressed):
         """Run the ordered near-dup gate over this epoch's submitted rows.
 
         ``suppressed=None`` judges each fetched row against this shard's
         own phash index (near-dup of an earlier kept row → suppressed).
         A collection of digests is the global tier's verdict instead
-        (frontier/phash_shard.py): exactly those rows are suppressed, and
-        ``self.phash`` is not touched.
+        (frontier/phash_shard.py), one collection per dedup shard in
+        ``suppressed, *more_suppressed``: exactly the rows in their union
+        are suppressed, and ``self.phash`` is not touched.
 
         Returns (kept_count, *sidecar lists, {dst_shard: offer_ref}): one
         list of (digest, host) pairs per ``SIDECARS`` entry, in that order
@@ -584,7 +588,8 @@ class FrontierShard:
         route to ``offer_packed`` on each target shard."""
         if epoch in self._gate_memo:
             return self._gate_memo[epoch]
-        sup = None if suppressed is None else set(suppressed)
+        sup = (None if suppressed is None
+               else set(suppressed).union(*more_suppressed))
         buf = self._gate_buf.pop(epoch, {})
         order = sorted(
             buf.items(), key=lambda kv: (-kv[1][1][2], kv[1][1][3], kv[1][1][4], kv[0])

@@ -62,12 +62,31 @@ def read_table(uri: str) -> pa.Table:
 
 def read_ray_dataset(uri: str, columns: list[str] | None = None):
     """The same table as a ray.data.Dataset (streaming read, with column
-    pruning pushed to the format reader)."""
+    pruning pushed to the format reader), one block per non-empty file.
+    An empty block reads with no schema: Ray's default read split cuts a
+    1-row file into a 1-row and a 0-row block, and a 0-row file reads as
+    one; a later ``map_batches`` passes such a block through without
+    calling its UDF, so it would reach the consumer without the columns
+    asked for. So the read skips 0-row files (by footer row count) and
+    asks for exactly one block per file left, which Ray does not split."""
     import ray.data
 
     if HAVE_LANCE:  # pragma: no cover
         return ray.data.read_lance(uri, columns=columns)
-    return ray.data.read_parquet(uri, columns=columns)
+    files = sorted(
+        os.path.join(d, f) for d, _, fs in os.walk(uri) for f in fs
+        if f.endswith(".parquet")
+    )
+    full = [f for f in files if pq.read_metadata(f).num_rows]
+    if full:
+        return ray.data.read_parquet(full, columns=columns,
+                                     override_num_blocks=len(full))
+    if not files:
+        return ray.data.read_parquet(uri, columns=columns)
+    schema = pq.read_schema(files[0])
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return ray.data.from_arrow(schema.empty_table())
 
 
 def write_ray_dataset(ds, uri: str) -> None:
